@@ -28,7 +28,7 @@ from .errors import (
     RadicandNegative,
     ValidationError,
 )
-from .spectral import SolverConfig, c_max_via_lift, z_max, z_min
+from .spectral import SolverConfig, c_pair_from_lift, held, z_max_batch
 from .tensors import lift, unfold_spectral_norm
 
 _NEG_BAND = 1e-8  # numerical band inside which a negative radicand is clamped
@@ -131,21 +131,26 @@ class BoundReport:
             )
 
 
-def full_report(A, E, cfg=SolverConfig()):
-    """Assemble the three intervals for the perturbation A -> A + E.
+def report_problems(lifted_a, lifted_e, lifted_sum):
+    """The four Z-problems of one report, in the order ``assemble_report``
+    takes their solutions: lift(A), lift(E), then the negated and plain
+    companion difference lift(A+E) - lift(A)."""
+    diff = lifted_sum - lifted_a
+    return [lifted_a, lifted_e, -diff, diff]
 
-    Solves for lambda_Cmax of A and of E, the unfolding norm of E, and
-    the Z-extremes of the companion difference lift(A+E) - lift(A).
+
+def assemble_report(A, E, lifted_a, lifted_e, solved):
+    """BoundReport from the ``z_max_batch`` entries of ``report_problems``.
+
+    Held solver failures are raised in the order a sequential solve
+    would meet them: lambda(A), lambda(E), then the difference extremes.
     """
-    if A.n != E.n:
-        raise DimensionMismatch(f"dimension mismatch: A has n={A.n}, E has n={E.n}")
-    a_tilde = A + E
-    lambda_a = c_max_via_lift(A, cfg).value
-    lambda_e = c_max_via_lift(E, cfg).value
+    z_a, z_e, z_neg_diff, z_diff = solved
+    lambda_a = c_pair_from_lift(A, lifted_a, z_a).value
+    lambda_e = c_pair_from_lift(E, lifted_e, z_e).value
     norm_e2 = unfold_spectral_norm(E)
-    diff = lift(a_tilde) - lift(A)
-    zmin_diff = z_min(diff, cfg).value
-    zmax_diff = z_max(diff, cfg).value
+    zmin_diff = -held(z_neg_diff).value  # min(T) = -max(-T)
+    zmax_diff = held(z_diff).value
     return BoundReport(
         lambda_a=lambda_a,
         lambda_e=lambda_e,
@@ -156,6 +161,20 @@ def full_report(A, E, cfg=SolverConfig()):
         interval_24=bound_spectral(lambda_a, norm_e2),
         interval_25=bound_quadratic(lambda_a, zmin_diff, zmax_diff),
     )
+
+
+def full_report(A, E, cfg=SolverConfig()):
+    """Assemble the three intervals for the perturbation A -> A + E.
+
+    Solves for lambda_Cmax of A and of E, the unfolding norm of E, and
+    the Z-extremes of the companion difference lift(A+E) - lift(A); the
+    four Z-problems run as one batch.
+    """
+    if A.n != E.n:
+        raise DimensionMismatch(f"dimension mismatch: A has n={A.n}, E has n={E.n}")
+    lifted_a, lifted_e = lift(A), lift(E)
+    problems = report_problems(lifted_a, lifted_e, lift(A + E))
+    return assemble_report(A, E, lifted_a, lifted_e, z_max_batch(problems, cfg))
 
 
 def check_nesting(r, slack=1e-8):

@@ -102,7 +102,6 @@ def _cmd_experiment(args):
         ),
         signed=args.signed,
         shared_direction=args.shared_direction,
-        workers=args.workers,
     )
     rows = run_experiment(materials, cfg)
     emit_csv(rows, args.csv)
@@ -151,7 +150,6 @@ def build_parser():
                    help="draw entries from (-eps, eps) instead of [0, eps)")
     p.add_argument("--shared-direction", action="store_true",
                    help="scale one unit draw per (material, trial) across epsilons")
-    p.add_argument("--workers", type=int, default=1)
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_experiment)
 

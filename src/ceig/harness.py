@@ -8,23 +8,23 @@ of the perturbed tensor, and require containment and nesting to hold
 before anything is emitted.
 
 Sub-seeds are derived by mixing (seed, material index, epsilon index,
-trial), so cells are independent: results do not depend on worker count
-or on appending further materials or epsilons.
+trial), so cells are independent: results do not depend on appending
+further materials or epsilons. A study lifts and solves each distinct
+tensor once, in batched passes over all of its cells.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import check_nesting, full_report
+from .bounds import assemble_report, check_nesting, report_problems
 from .errors import CeigError, PropertyViolation, ValidationError
 from .rng import SplitMix64, derive_seed
-from .spectral import SolverConfig, c_max_via_lift
-from .tensors import PiezoTensor, make_piezo, parse_tensor_text
+from .spectral import SolverConfig, c_pair_from_lift, z_max_batch
+from .tensors import PiezoTensor, lift, make_piezo, parse_tensor_text
 
 _SLACK = 1e-8  # containment / nesting slack carried through from bounds
 
@@ -49,7 +49,6 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     signed: bool = False
     shared_direction: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -62,8 +61,6 @@ class ExperimentConfig:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2 ** 64):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ValidationError(f"workers must be a positive integer, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -113,19 +110,15 @@ def gen_perturbation(n, epsilon, stream, signed=False):
     return make_piezo(n, epsilon * u, mode="auto_symmetrize")
 
 
-def _run_cell(material, m_idx, epsilon, e_idx, trial, cfg):
+def _cell_perturbation(material, m_idx, epsilon, e_idx, trial, cfg):
     if cfg.shared_direction:
         stream = SplitMix64(derive_seed(cfg.seed, m_idx, trial))
-        e = epsilon * gen_perturbation(material.tensor.n, 1.0, stream, signed=cfg.signed)
-    else:
-        stream = SplitMix64(derive_seed(cfg.seed, m_idx, e_idx, trial))
-        e = gen_perturbation(material.tensor.n, epsilon, stream, signed=cfg.signed)
-    where = f"material {material.name!r}, epsilon {epsilon:g}, trial {trial}"
-    try:
-        report = full_report(material.tensor, e, cfg.solver)
-        true_lambda = c_max_via_lift(material.tensor + e, cfg.solver).value
-    except CeigError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+        return epsilon * gen_perturbation(material.tensor.n, 1.0, stream, signed=cfg.signed)
+    stream = SplitMix64(derive_seed(cfg.seed, m_idx, e_idx, trial))
+    return gen_perturbation(material.tensor.n, epsilon, stream, signed=cfg.signed)
+
+
+def _result_row(material, epsilon, trial, report, true_lambda, where):
     contained = all(
         iv.contains(true_lambda, _SLACK)
         for iv in (report.interval_21, report.interval_24, report.interval_25)
@@ -152,8 +145,21 @@ def _run_cell(material, m_idx, epsilon, e_idx, trial, cfg):
     )
 
 
+def _in_cell(where, exc):
+    """`exc` re-made with the cell's coordinates in front of its message."""
+    return type(exc)(f"{where}: {exc}")
+
+
 def run_experiment(materials, cfg=ExperimentConfig()):
     """All (material, epsilon, trial) cells, epsilon descending per material.
+
+    The study is planned before anything is solved: every cell's
+    perturbation is drawn, each distinct tensor is lifted once, and the
+    Z-problems of all cells (four per report plus lift(A+E) for the true
+    value) go to one ``z_max_batch`` call, which solves each distinct
+    one once. Reports are then assembled in cell order, so the first
+    failing cell raises, prefixed with its coordinates, as if the cells
+    had run one by one.
 
     Raises PropertyViolation if any cell's true value escapes an interval
     or the nesting chain breaks; rows are only returned for clean runs.
@@ -170,11 +176,39 @@ def run_experiment(materials, cfg=ExperimentConfig()):
         for e_idx, eps in enumerate(eps_sorted)
         for trial in range(cfg.trials)
     ]
-    if cfg.workers == 1:
-        return [_run_cell(mat, m, e, ei, t, cfg) for mat, m, e, ei, t in cells]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [pool.submit(_run_cell, mat, m, e, ei, t, cfg) for mat, m, e, ei, t in cells]
-        return [f.result() for f in futures]
+    lifted = {}
+
+    def lift_once(t):
+        key = t.entries.tobytes()
+        if key not in lifted:
+            lifted[key] = lift(t)
+        return lifted[key]
+
+    plan, problems, failure = [], [], None
+    for mat, m_idx, eps, e_idx, trial in cells:
+        where = f"material {mat.name!r}, epsilon {eps:g}, trial {trial}"
+        try:
+            e = _cell_perturbation(mat, m_idx, eps, e_idx, trial, cfg)
+            a_tilde = mat.tensor + e
+            lifts = lift_once(mat.tensor), lift_once(e), lift_once(a_tilde)
+            problems += report_problems(*lifts) + [lifts[2]]
+        except CeigError as exc:
+            failure = where, exc  # raised once the cells before it are assembled
+            break
+        plan.append((mat, eps, trial, where, e, a_tilde, lifts))
+    solved = z_max_batch(problems, cfg.solver)
+    rows = []
+    for i, (mat, eps, trial, where, e, a_tilde, lifts) in enumerate(plan):
+        z = solved[5 * i:5 * i + 5]
+        try:
+            report = assemble_report(mat.tensor, e, lifts[0], lifts[1], z[:4])
+            true_lambda = c_pair_from_lift(a_tilde, lifts[2], z[4]).value
+        except CeigError as exc:
+            raise _in_cell(where, exc) from exc
+        rows.append(_result_row(mat, eps, trial, report, true_lambda, where))
+    if failure:
+        raise _in_cell(*failure) from failure[1]
+    return rows
 
 
 def _open_for_write(destination):

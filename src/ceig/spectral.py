@@ -11,9 +11,10 @@ Two independent routes to the largest C-eigenvalue are provided:
   itself, never touching the fourth-order companion.
 
 The Z-solver is shifted symmetric higher-order power iteration, batched
-over starts, with a convexity shift picked adaptively from a Gershgorin
-bound on the Hessian. A bordered Newton polish pushes winning residuals
-down to machine level so the 1e-8 residual invariants hold with slack.
+over tensors and starts, with a convexity shift picked adaptively from a
+Gershgorin bound on the Hessian. A bordered Newton polish pushes winning
+residuals down to machine level so the 1e-8 residual invariants hold with
+slack.
 
 Brute-force spherical-grid oracles (n = 3 only) give answers the solvers
 are tested against; they share no code path with the iterative routes.
@@ -39,6 +40,9 @@ from .tensors import PiezoTensor, SymTensor4, apply_xay, apply_yy, lift
 _RESIDUAL_CAP = 1e-8  # absolute residual admitted for a returned eigenpair
 _ZERO_LAMBDA = 1e-10  # below this the x = Ayy/lambda division is abandoned
 _SHIFT_MARGIN = 1e-6  # convexity slack added on top of the Hessian bound
+# Start rows x n^2 in one batched power pass. Caps its per-step arrays near
+# 100 KB: bigger batches saved no time here but raised peak memory.
+_BATCH_BUDGET = 12 * 1024
 
 
 @dataclass(frozen=True)
@@ -129,23 +133,38 @@ def _start_pool(seed, starts, n):
     return pool
 
 
-def _power_phase(tmat, pool, tol, max_iters):
-    """Batched shifted power iteration on the quartic form.
+def _power_phase(tmats, pool, tol, max_iters):
+    """Batched shifted power iteration on the quartic forms of a stack of
+    tensors, every start of `pool` on every tensor.
 
-    `tmat` is the tensor flattened to n^2 x n^2 (valid by full symmetry).
-    Returns (lam, Y, iters, converged) over the whole pool. A start is
-    converged when its Rayleigh value stalls within `tol` or its
-    eigen-residual is already below tol * scale.
+    `tmats` holds the tensors flattened to n^2 x n^2 (valid by full
+    symmetry), shape (k, n^2, n^2). Returns (lam, Y, iters, converged)
+    with a leading tensor axis. A start is converged when its Rayleigh
+    value stalls within `tol` or its eigen-residual is already below
+    tol * scale. The working arrays hold one row per (tensor, start) and
+    rows never mix, so each tensor gets the bits it would get alone; a
+    tensor leaves them once all of its starts have converged.
     """
-    Y = pool.copy()
-    s, n = Y.shape
-    lam_prev = np.full(s, np.inf)
-    lam = np.zeros(s)
-    iters = np.zeros(s, dtype=int)
-    active = np.ones(s, dtype=bool)
-    for k in range(1, max_iters + 1):
-        pp = (Y[:, :, None] * Y[:, None, :]).reshape(s, n * n)
-        t2 = (pp @ tmat).reshape(s, n, n)
+    k, (s, n) = tmats.shape[0], pool.shape
+    lam_out = np.zeros((k, s))
+    Y_out = np.empty((k, s, n))
+    iters_out = np.zeros((k, s), dtype=int)
+    active_out = np.ones((k, s), dtype=bool)
+    live = np.arange(k)
+    Y = np.tile(pool, (k, 1))
+    lam_prev = np.full(k * s, np.inf)
+    lam = np.zeros(k * s)
+    iters = np.zeros(k * s, dtype=int)
+    active = np.ones(k * s, dtype=bool)
+
+    def retire(done):
+        idx = live[done]
+        for out, a in ((lam_out, lam), (Y_out, Y), (iters_out, iters), (active_out, active)):
+            out[idx] = a.reshape(live.size, s, *a.shape[1:])[done]
+
+    for it in range(1, max_iters + 1):
+        pp = (Y[:, :, None] * Y[:, None, :]).reshape(-1, s, n * n)
+        t2 = np.matmul(pp, tmats).reshape(-1, n, n)
         grad = np.matmul(t2, Y[:, :, None])[:, :, 0]
         lam_k = (Y * grad).sum(axis=1)
         lam[active] = lam_k[active]
@@ -154,10 +173,19 @@ def _power_phase(tmat, pool, tol, max_iters):
         newly = active & (
             (np.abs(lam_k - lam_prev) <= tol) | (resid <= tol * scale)
         )
-        iters[newly] = k
-        active &= ~newly
-        if not active.any():
-            break
+        if newly.any():
+            iters[newly] = it
+            active &= ~newly
+            alive = active.reshape(-1, s).any(axis=1)
+            if not alive.all():
+                retire(~alive)
+                if not alive.any():
+                    break
+                keep = np.repeat(alive, s)
+                live, tmats = live[alive], tmats[alive]
+                Y, lam, iters, active, t2, grad, lam_k = (
+                    a[keep] for a in (Y, lam, iters, active, t2, grad, lam_k)
+                )
         # Convexity shift from a Gershgorin floor on the Hessian 12*Ty^2.
         diag = np.diagonal(t2, axis1=1, axis2=2)
         off = np.abs(t2).sum(axis=2) - np.abs(diag)
@@ -168,8 +196,9 @@ def _power_phase(tmat, pool, tol, max_iters):
         step = active & (wn > 1e-150)
         Y[step] = w[step] / wn[step, None]
         lam_prev = lam_k
-    converged = ~active
-    return lam, Y, iters, converged
+    else:  # max_iters ran out with starts still active
+        retire(np.ones(live.size, dtype=bool))
+    return lam_out, Y_out, iters_out, ~active_out
 
 
 def _polish_z(tmat, y, mu, steps=10):
@@ -246,26 +275,95 @@ def _polish_and_pick(tmat, lam, Y, iters, order):
     return None, best_rn
 
 
-def _z_max_attempt(tmat, pool, cfg):
-    """One multi-start pass; returns (pair or None, best residual seen)."""
+def _z_max_attempts(tmats, pool, cfg):
+    """One multi-start pass over a stack of tensors; yields (pair or
+    None, best residual seen) per tensor."""
     n = pool.shape[1]
-    lam, Y, iters, converged = _power_phase(tmat, pool, cfg.tol, cfg.max_iters)
-    if not converged.any():
-        pp = (Y[:, :, None] * Y[:, None, :]).reshape(Y.shape[0], n * n)
-        grad = np.matmul((pp @ tmat).reshape(-1, n, n), Y[:, :, None])[:, :, 0]
-        resid = np.linalg.norm(grad - lam[:, None] * Y, axis=1)
-        return None, float(resid.min())
-    idx_conv = np.flatnonzero(converged)
-    order = idx_conv[np.lexsort((idx_conv, -lam[idx_conv]))]
-    # Polish only the leading value cluster first; the rest of the
-    # candidates are revisited if that cluster cannot meet the cap.
-    top = lam[order[0]]
-    lead = order[lam[order] >= top - 1e-6 * max(1.0, abs(top))]
-    pair, best_rn = _polish_and_pick(tmat, lam, Y, iters, lead)
-    if pair is None and lead.size < order.size:
-        pair, rn2 = _polish_and_pick(tmat, lam, Y, iters, order)
-        best_rn = min(best_rn, rn2)
-    return pair, best_rn
+    lams, Ys, iterss, convergeds = _power_phase(np.stack(tmats), pool, cfg.tol, cfg.max_iters)
+    for tmat, lam, Y, iters, converged in zip(tmats, lams, Ys, iterss, convergeds):
+        if not converged.any():
+            pp = (Y[:, :, None] * Y[:, None, :]).reshape(Y.shape[0], n * n)
+            grad = np.matmul((pp @ tmat).reshape(-1, n, n), Y[:, :, None])[:, :, 0]
+            resid = np.linalg.norm(grad - lam[:, None] * Y, axis=1)
+            yield None, float(resid.min())
+            continue
+        idx_conv = np.flatnonzero(converged)
+        order = idx_conv[np.lexsort((idx_conv, -lam[idx_conv]))]
+        # Polish only the leading value cluster first; the rest of the
+        # candidates are revisited if that cluster cannot meet the cap.
+        top = lam[order[0]]
+        lead = order[lam[order] >= top - 1e-6 * max(1.0, abs(top))]
+        pair, best_rn = _polish_and_pick(tmat, lam, Y, iters, lead)
+        if pair is None and lead.size < order.size:
+            pair, rn2 = _polish_and_pick(tmat, lam, Y, iters, order)
+            best_rn = min(best_rn, rn2)
+        yield pair, best_rn
+
+
+def _batches(indices, tensors, starts):
+    """Same-dimension groups of `indices` whose start rows x n^2 fit the
+    batch budget (a tensor too large for it runs alone)."""
+    by_n = {}
+    for i in indices:
+        by_n.setdefault(tensors[i].n, []).append(i)
+    for n, group in by_n.items():
+        size = max(1, _BATCH_BUDGET // ((starts + n) * n * n))
+        for lo in range(0, len(group), size):
+            yield n, group[lo:lo + size]
+
+
+def z_max_batch(tensors, cfg=SolverConfig()):
+    """Largest Z-eigenpairs of a list of symmetric fourth-order tensors.
+
+    Returns one entry per tensor: its ``ZEigenpair``, or the
+    ``NoConvergence`` that ``z_max`` would raise for it, held rather than
+    raised so callers can attribute it. Tensors with equal entries are
+    solved once, and each result is bit-identical to solving its tensor
+    alone: the power phase runs over (tensor, start) rows that never
+    mix. See ``z_max`` for the method.
+    """
+    distinct = {}
+    for T in tensors:
+        distinct.setdefault(T.entries.tobytes(), T)
+    unique = list(distinct.values())
+    scales = []
+    tmats = []
+    for T in unique:
+        scale = float(np.abs(T.entries).max())
+        if scale == 0.0:
+            scale = 1.0
+        scales.append(scale)
+        tmats.append((T.entries / scale).reshape(T.n * T.n, T.n * T.n))
+    pairs = [None] * len(unique)
+    best = [np.inf] * len(unique)
+    todo = range(len(unique))
+    for starts in (cfg.starts, 2 * cfg.starts):
+        # the doubled-start pass only revisits tensors that failed
+        for n, batch in _batches(todo, unique, starts):
+            attempts = _z_max_attempts(
+                [tmats[i] for i in batch], _start_pool(cfg.seed, starts, n), cfg
+            )
+            for i, (pair, rn) in zip(batch, attempts):
+                pairs[i], best[i] = pair, min(best[i], rn)
+        todo = [i for i in todo if pairs[i] is None]
+    solved = {}
+    for key, pair, rn, scale in zip(distinct, pairs, best, scales):
+        if pair is None:
+            solved[key] = NoConvergence(
+                "no start reached the residual target", best_residual=rn * scale
+            )
+        else:
+            solved[key] = ZEigenpair(
+                pair.value * scale, pair.y, pair.residual * scale, pair.iterations
+            )
+    return [solved[T.entries.tobytes()] for T in tensors]
+
+
+def held(result):
+    """Return a ``z_max_batch`` entry, raising it if it is a held failure."""
+    if isinstance(result, NoConvergence):
+        raise result
+    return result
 
 
 def z_max(T, cfg=SolverConfig()):
@@ -280,22 +378,7 @@ def z_max(T, cfg=SolverConfig()):
     lifts to 1e-10-sized entries, which would otherwise freeze under an
     absolute shift); value and residual are scaled back on return.
     """
-    n = T.n
-    scale = float(np.abs(T.entries).max())
-    if scale == 0.0:
-        scale = 1.0
-    tmat = (T.entries / scale).reshape(n * n, n * n)
-    pair, best = _z_max_attempt(tmat, _start_pool(cfg.seed, cfg.starts, n), cfg)
-    if pair is None:
-        pair, best2 = _z_max_attempt(tmat, _start_pool(cfg.seed, 2 * cfg.starts, n), cfg)
-        best = min(best, best2)
-    if pair is None:
-        raise NoConvergence(
-            "no start reached the residual target", best_residual=best * scale
-        )
-    return ZEigenpair(
-        pair.value * scale, pair.y, pair.residual * scale, pair.iterations
-    )
+    return held(z_max_batch([T], cfg)[0])
 
 
 def z_min(T, cfg=SolverConfig()):
@@ -313,15 +396,15 @@ def _c_residuals(A, value, x, y):
     return float(np.linalg.norm(rx)), float(np.linalg.norm(ry))
 
 
-def c_max_via_lift(A, cfg=SolverConfig()):
-    """Largest C-eigenpair through the symmetric fourth-order companion.
+def c_pair_from_lift(A, companion, z):
+    """Largest C-eigenpair of A from the top Z-pair `z` of its companion
+    ``lift(A)``; `z` may be a held ``z_max_batch`` failure, raised here.
 
     The companion's largest Z-value is lambda^2; x is recovered as
     A y y / lambda, or for vanishing lambda as a unit left-null vector
     of M(y)_{ij} = sum_k a_ijk y_k (Jacobi on M M^T).
     """
-    companion = lift(A)
-    z = z_max(companion, cfg)
+    z = held(z)
     mu = z.value
     band = _RESIDUAL_CAP * max(1.0, float(np.abs(companion.entries).max()))
     if mu < -band:
@@ -345,6 +428,13 @@ def c_max_via_lift(A, cfg=SolverConfig()):
             "C-eigenpair residuals exceed tolerance", best_residual=max(rx, ry)
         )
     return CEigenpair(value, x, y, rx, ry, z.iterations)
+
+
+def c_max_via_lift(A, cfg=SolverConfig()):
+    """Largest C-eigenpair through the symmetric fourth-order companion
+    (see ``c_pair_from_lift``)."""
+    companion = lift(A)
+    return c_pair_from_lift(A, companion, z_max(companion, cfg))
 
 
 def _alternating_phase(a, pool, tol, max_iters):

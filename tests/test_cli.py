@@ -137,7 +137,7 @@ def test_experiment_deterministic_bytes(tmp_path, capsys):
     c1, c2, c3 = (tmp_path / f"o{i}.csv" for i in range(3))
     assert main(experiment_args(d, c1, ["--seed", "5"])) == 0
     assert main(experiment_args(d, c2, ["--seed", "5"])) == 0
-    assert main(experiment_args(d, c3, ["--seed", "5", "--workers", "4"])) == 0
+    assert main(experiment_args(d, c3, ["--seed", "5"])) == 0
     capsys.readouterr()
     assert c1.read_bytes() == c2.read_bytes() == c3.read_bytes()
 
@@ -164,6 +164,18 @@ def test_experiment_unwritable_csv(tmp_path, capsys):
     rc = main(experiment_args(d, tmp_path / "nodir" / "out.csv"))
     assert rc == 2
     capsys.readouterr()
+
+
+def test_experiment_non_convergence_names_first_cell(tmp_path, capsys):
+    d = tmp_path / "mats"
+    d.mkdir()
+    (d / "r.txt").write_text(format_tensor_text(rand_piezo(9), name="rand"))
+    rc = main(
+        ["experiment", "--materials", str(d), "--csv", str(tmp_path / "x.csv"),
+         "--starts", "4", "--max-iters", "10", "--tol", "1e-15"]
+    )
+    assert rc == 3
+    assert "error: material 'rand', epsilon 1, trial 0: " in capsys.readouterr().err
 
 
 def test_experiment_property_violation_exit_code(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from ceig import (
     CSV_HEADER,
     ExperimentConfig,
     MaterialRecord,
+    NoConvergence,
     ParseError,
     SolverConfig,
     ValidationError,
@@ -24,6 +25,8 @@ from ceig import (
     unfold_spectral_norm,
 )
 from ceig.rng import SplitMix64, derive_seed
+
+from conftest import rand_piezo
 
 QUICK = SolverConfig(starts=8, tol=1e-12, max_iters=5000, seed=0)
 
@@ -140,8 +143,6 @@ def test_experiment_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValidationError):
         ExperimentConfig(seed=-3)
-    with pytest.raises(ValidationError):
-        ExperimentConfig(workers=0)
     cfg = ExperimentConfig(epsilons=[0.0, 1e-3])  # zero epsilon is a valid cell
     assert cfg.epsilons == (0.0, 1e-3)
 
@@ -193,15 +194,15 @@ def test_run_experiment_input_validation():
         run_experiment(mixed, ExperimentConfig())
 
 
-def test_run_experiment_workers_agree():
-    mats = [single_material(2.0), single_material(5.0, name="other")]
-    base = ExperimentConfig(epsilons=(1e-1, 1e-3), trials=2, solver=QUICK)
-    rows1 = run_experiment(mats, base)
-    rows4 = run_experiment(
-        mats,
-        ExperimentConfig(epsilons=(1e-1, 1e-3), trials=2, solver=QUICK, workers=4),
+def test_run_experiment_raises_for_first_failing_cell():
+    # the single-entry cells converge within ten steps, the random one cannot
+    mats = [single_material(2.0, name="clean"), MaterialRecord("rough", rand_piezo(9))]
+    cfg = ExperimentConfig(
+        epsilons=(0.0,), solver=SolverConfig(starts=4, tol=1e-15, max_iters=10)
     )
-    assert rows1 == rows4
+    with pytest.raises(NoConvergence, match=r"^material 'rough', epsilon 0, trial 0: "):
+        run_experiment(mats, cfg)
+    assert run_experiment(mats[:1], cfg)[0].nested
 
 
 def test_full_materials_run_all_rows_clean(materials_dir):
@@ -218,6 +219,15 @@ def test_full_materials_run_all_rows_clean(materials_dir):
         assert half24 <= r.epsilon * n_factor + 1e-10
         assert (r.hi25 - r.lo25) <= (r.hi21 - r.lo21) + 1e-8
         assert (r.hi21 - r.lo21) <= (r.hi24 - r.lo24) + 1e-8
+
+
+def test_default_study_matches_committed_tables(materials_dir, tmp_path):
+    rows = run_experiment(load_materials(materials_dir), ExperimentConfig())
+    emit_csv(rows, tmp_path / "tables.csv")
+    emit_markdown(rows, tmp_path / "tables.md")
+    results = materials_dir.parent / "results"
+    for name in ("tables.csv", "tables.md"):
+        assert (tmp_path / name).read_bytes() == (results / name).read_bytes(), name
 
 
 def test_banio3_cell_at_tightest_epsilon(materials_dir):

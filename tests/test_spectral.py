@@ -26,8 +26,12 @@ from ceig import (
     parse_tensor_text,
     sub,
     z_max,
+    z_max_batch,
     z_min,
 )
+from ceig import spectral
+from ceig.harness import gen_perturbation, load_material
+from ceig.rng import SplitMix64
 
 from conftest import rand_piezo
 
@@ -309,3 +313,68 @@ def test_tight_tolerance_still_converges_with_budget():
     a = rand_piezo(9)
     pair = z_max(lift(a), SolverConfig(starts=4, tol=1e-15, max_iters=5000, seed=0))
     assert pair.residual <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batching across tensors
+
+
+def mixed_batch(materials_dir):
+    """n = 3 tensors of very different kinds and scales, one repeated."""
+    a = load_material(materials_dir / "08_banio3.txt").tensor
+    e = gen_perturbation(3, 1e-5, SplitMix64(11))
+    diff = lift(a + e) - lift(a)
+    r = rand_piezo(77)
+    return [
+        lift(load_material(materials_dir / "01_vfesb.txt").tensor),
+        lift(a),
+        diff,
+        -diff,
+        SymTensor4(3, np.zeros((3,) * 4)),
+        lift(r) * 1e-8,
+        rand_sym4(5) * 1e3,
+        lift(a),
+    ]
+
+
+def assert_same_result(got, want):
+    if isinstance(want, NoConvergence):
+        assert isinstance(got, NoConvergence)
+        assert got.best_residual == want.best_residual
+        return
+    assert isinstance(got, ZEigenpair)
+    assert got.value == want.value
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.residual == want.residual
+    assert got.iterations == want.iterations
+
+
+def solve_alone(t, cfg):
+    try:
+        return z_max(t, cfg)
+    except NoConvergence as exc:
+        return exc
+
+
+@pytest.mark.parametrize("budget", [None, 2 * (50 + 3) * 9])
+@pytest.mark.parametrize(
+    "cfg",
+    [SolverConfig(starts=50), SolverConfig(starts=4, tol=1e-15, max_iters=10)],
+    ids=["default", "no-convergence"],
+)
+def test_z_max_batch_is_bit_identical_to_single_solves(materials_dir, monkeypatch, cfg, budget):
+    if budget is not None:
+        # two 53-row tensors per power pass at 50 starts, one on the retry
+        monkeypatch.setattr(spectral, "_BATCH_BUDGET", budget)
+    tensors = mixed_batch(materials_dir)
+    alone = [solve_alone(t, cfg) for t in tensors]
+    forward = z_max_batch(tensors, cfg)
+    backward = z_max_batch(tensors[::-1], cfg)[::-1]
+    for want, got_f, got_b in zip(alone, forward, backward):
+        assert_same_result(got_f, want)
+        assert_same_result(got_b, want)
+    failed = [isinstance(r, NoConvergence) for r in alone]
+    if cfg.max_iters == 10:
+        assert any(failed) and not all(failed)  # the zero tensor still converges
+    else:
+        assert not any(failed)
