@@ -2,9 +2,9 @@
 
 The generator is splitmix64 (Vigna's mixer over a Weyl sequence with
 increment 0x9E3779B97F4A7C15). It is implemented here in pure Python so
-that streams are bit-identical across platforms, interpreter versions
-and worker counts. Uniforms take the top 53 bits of a draw; Gaussians
-come from Box-Muller on two uniforms.
+that streams are bit-identical across platforms and interpreter
+versions. Uniforms take the top 53 bits of a draw; Gaussians come from
+Box-Muller on two uniforms.
 """
 
 from __future__ import annotations

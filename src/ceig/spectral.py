@@ -12,9 +12,9 @@ Two independent routes to the largest C-eigenvalue are provided:
 
 The Z-solver is shifted symmetric higher-order power iteration, batched
 over tensors and starts, with a convexity shift picked adaptively from a
-Gershgorin bound on the Hessian. A bordered Newton polish pushes winning
-residuals down to machine level so the 1e-8 residual invariants hold with
-slack.
+Gershgorin bound on the Hessian. Both routes share one winner rule and
+one bordered Newton polish, which pushes winning residuals down to
+machine level so the 1e-8 residual invariants hold with slack.
 
 Brute-force spherical-grid oracles (n = 3 only) give answers the solvers
 are tested against; they share no code path with the iterative routes.
@@ -23,7 +23,7 @@ are tested against; they share no code path with the iterative routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .jacobi import jacobi_eigh
 from .rng import SplitMix64
 from .tensors import PiezoTensor, SymTensor4, apply_xay, apply_yy, lift
 
@@ -50,8 +49,8 @@ class ZEigenpair:
     """A Z-eigenvalue with its unit eigenvector.
 
     ``residual`` is ||T y^3 - value * y||_2 against the tensor the pair
-    was computed from; ``iterations`` counts power steps plus polish
-    steps of the winning start.
+    was computed from; ``iterations`` counts the power steps the winning
+    start took to converge (polish steps are not counted).
     """
 
     value: float
@@ -74,7 +73,8 @@ class CEigenpair:
     """A C-eigentriple (value, x, y) with x, y unit vectors.
 
     ``residual_x`` is ||A y y - value * x||_2 and ``residual_y`` is
-    ||x A y - value * y||_2 for the source tensor.
+    ||x A y - value * y||_2 for the source tensor; ``iterations`` counts
+    the power (or ascent) steps the winning start took to converge.
     """
 
     value: float
@@ -201,27 +201,39 @@ def _power_phase(tmats, pool, tol, max_iters):
     return lam_out, Y_out, iters_out, ~active_out
 
 
-def _polish_z(tmat, y, mu, steps=10):
-    """Bordered Newton refinement of (y, mu) toward T y^3 = mu y, |y| = 1.
+def _entry_scale(T):
+    """Largest entry magnitude of a tensor (1 for the zero tensor): the
+    solvers iterate on T / scale, so shifts and stall tests are scale-free."""
+    scale = float(np.abs(T.entries).max())
+    return scale if scale != 0.0 else 1.0
 
-    Keeps the best iterate seen; silently returns the input state if the
-    bordered system is singular (degenerate critical points)."""
+
+def _z_state(tmat, y):
+    """(mu, r, |r|, J) of the Z-map g(y) = T y^3: mu = y.g, r = g - mu y,
+    J = 3 T y^2 the Jacobian of g."""
     n = y.size
+    t2 = (tmat @ np.outer(y, y).ravel()).reshape(n, n)
+    g = t2 @ y
+    mu = float(y @ g)
+    r = g - mu * y
+    return mu, r, float(np.linalg.norm(r)), 3.0 * t2
 
-    def state(yv):
-        t2 = (tmat @ np.outer(yv, yv).ravel()).reshape(n, n)
-        g = t2 @ yv
-        m = float(yv @ g)
-        r = g - m * yv
-        return t2, g, m, float(np.linalg.norm(r)), r
 
-    t2, g, mu, rn, r = state(y)
+def _newton_polish(y, state):
+    """Bordered Newton refinement of (y, mu) toward g(y) = mu y, |y| = 1,
+    for a map g described by ``state(y) -> (mu, r, |r|, J)``.
+
+    Keeps the best iterate seen and returns it as (mu, y, |r|); stops
+    early if the bordered system is singular (degenerate critical points).
+    """
+    n = y.size
+    mu, r, rn, jac = state(y)
     best = (mu, y, rn)
-    for _ in range(steps):
+    for _ in range(10):
         if rn <= 1e-15 * max(1.0, abs(mu)):
             break
         k = np.zeros((n + 1, n + 1))
-        k[:n, :n] = 3.0 * t2 - mu * np.eye(n)
+        k[:n, :n] = jac - mu * np.eye(n)
         k[:n, n] = -y
         k[n, :n] = y
         rhs = np.concatenate([-r, [0.0]])
@@ -234,10 +246,10 @@ def _polish_z(tmat, y, mu, steps=10):
         if nrm < 1e-150:
             break
         y_new /= nrm
-        t2, g, mu_new, rn_new, r_new = state(y_new)
+        mu_new, r_new, rn_new, jac_new = state(y_new)
         if rn_new >= best[2]:
             break
-        y, mu, rn, r = y_new, mu_new, rn_new, r_new
+        y, mu, r, rn, jac = y_new, mu_new, r_new, rn_new, jac_new
         best = (mu, y, rn)
     return best
 
@@ -259,19 +271,29 @@ def _dedupe_candidates(lam, Y, order):
     return reps
 
 
-def _polish_and_pick(tmat, lam, Y, iters, order):
-    """Polish representatives in winner order; first one that meets the
-    residual cap wins. Returns (pair or None, best residual)."""
-    reps = _dedupe_candidates(lam, Y, order)
-    polished = []
-    for idx in reps:
-        mu, y, rn = _polish_z(tmat, Y[idx], lam[idx])
-        polished.append((mu, y, rn, idx))
-    polished.sort(key=lambda p: (-p[0], p[3]))
-    best_rn = min(p[2] for p in polished)
-    for mu, y, rn, idx in polished:
-        if rn <= _RESIDUAL_CAP:
-            return ZEigenpair(mu, y, rn, int(iters[idx])), rn
+def _pick(vals, Y, iters, converged, polish):
+    """Winner rule shared by both routes: polish distinct converged
+    starts and return the one with the largest polished value (ties to
+    the lowest start index) among those meeting the residual cap.
+
+    Only the leading value cluster is polished first; the rest of the
+    candidates are revisited if that cluster cannot meet the cap.
+    ``polish(i)`` returns (value, residual, make) for start i, where
+    ``make(iterations)`` builds the eigenpair. Returns (pair or None,
+    smallest residual seen); at least one start must have converged.
+    """
+    idx_conv = np.flatnonzero(converged)
+    order = idx_conv[np.lexsort((idx_conv, -vals[idx_conv]))]
+    top = vals[order[0]]
+    lead = order[vals[order] >= top - 1e-6 * max(1.0, abs(top))]
+    best_rn = np.inf
+    for group in (lead, order) if lead.size < order.size else (lead,):
+        polished = [(*polish(i), i) for i in _dedupe_candidates(vals, Y, group)]
+        polished.sort(key=lambda p: (-p[0], p[3]))
+        best_rn = min(best_rn, min(p[1] for p in polished))
+        for _, rn, make, i in polished:
+            if rn <= _RESIDUAL_CAP:
+                return make(int(iters[i])), best_rn
     return None, best_rn
 
 
@@ -287,17 +309,12 @@ def _z_max_attempts(tmats, pool, cfg):
             resid = np.linalg.norm(grad - lam[:, None] * Y, axis=1)
             yield None, float(resid.min())
             continue
-        idx_conv = np.flatnonzero(converged)
-        order = idx_conv[np.lexsort((idx_conv, -lam[idx_conv]))]
-        # Polish only the leading value cluster first; the rest of the
-        # candidates are revisited if that cluster cannot meet the cap.
-        top = lam[order[0]]
-        lead = order[lam[order] >= top - 1e-6 * max(1.0, abs(top))]
-        pair, best_rn = _polish_and_pick(tmat, lam, Y, iters, lead)
-        if pair is None and lead.size < order.size:
-            pair, rn2 = _polish_and_pick(tmat, lam, Y, iters, order)
-            best_rn = min(best_rn, rn2)
-        yield pair, best_rn
+
+        def polish(i):
+            mu, y, rn = _newton_polish(Y[i], partial(_z_state, tmat))
+            return mu, rn, partial(ZEigenpair, mu, y, rn)
+
+        yield _pick(lam, Y, iters, converged, polish)
 
 
 def _batches(indices, tensors, starts):
@@ -326,14 +343,11 @@ def z_max_batch(tensors, cfg=SolverConfig()):
     for T in tensors:
         distinct.setdefault(T.entries.tobytes(), T)
     unique = list(distinct.values())
-    scales = []
-    tmats = []
-    for T in unique:
-        scale = float(np.abs(T.entries).max())
-        if scale == 0.0:
-            scale = 1.0
-        scales.append(scale)
-        tmats.append((T.entries / scale).reshape(T.n * T.n, T.n * T.n))
+    scales = [_entry_scale(T) for T in unique]
+    tmats = [
+        (T.entries / scale).reshape(T.n * T.n, T.n * T.n)
+        for T, scale in zip(unique, scales)
+    ]
     pairs = [None] * len(unique)
     best = [np.inf] * len(unique)
     todo = range(len(unique))
@@ -402,7 +416,8 @@ def c_pair_from_lift(A, companion, z):
 
     The companion's largest Z-value is lambda^2; x is recovered as
     A y y / lambda, or for vanishing lambda as a unit left-null vector
-    of M(y)_{ij} = sum_k a_ijk y_k (Jacobi on M M^T).
+    of M(y)_{ij} = sum_k a_ijk y_k (the eigenvector of M M^T for its
+    smallest eigenvalue).
     """
     z = held(z)
     mu = z.value
@@ -420,8 +435,7 @@ def c_pair_from_lift(A, companion, z):
             x = x / nx
     else:
         m = np.einsum("ijk,k->ij", A.entries, y)
-        w, vecs = jacobi_eigh(m @ m.T)
-        x = vecs[:, 0]
+        x = np.linalg.eigh(m @ m.T)[1][:, 0]
     rx, ry = _c_residuals(A, value, x, y)
     if max(rx, ry) > _RESIDUAL_CAP * max(1.0, value):
         raise NoConvergence(
@@ -472,103 +486,53 @@ def _alternating_phase(a, pool, tol, max_iters):
         if not active.any():
             break
         f_prev = f_k
-    return f, X, Y, iters, ~active
+    return f, Y, iters, ~active
 
 
-def _polish_c(A, y):
-    """Lift-free Newton refinement of y for the alternating route.
-
-    Works on the cubic map y -> M(y)^T M(y) y, whose Jacobian is
-    2 M^T M + C with C_lp = sum_i (A y y)_i a_ilp; x and the value are
-    then recomputed in closed form.
-    """
-    a = A.entries
-    n = y.size
-
-    def state(yv):
-        m = np.einsum("ijk,k->ij", a, yv)
-        v = m @ yv
-        g = m.T @ v
-        mu = float(yv @ g)
-        r = g - mu * yv
-        return m, v, g, mu, r, float(np.linalg.norm(r))
-
-    m, v, g, mu, r, rn = state(y)
-    best = (y, mu, rn)
-    for _ in range(10):
-        if rn <= 1e-15 * max(1.0, abs(mu)):
-            break
-        c = np.einsum("i,ilp->lp", v, a)
-        k = np.zeros((n + 1, n + 1))
-        k[:n, :n] = 2.0 * (m.T @ m) + c - mu * np.eye(n)
-        k[:n, n] = -y
-        k[n, :n] = y
-        rhs = np.concatenate([-r, [0.0]])
-        try:
-            sol = np.linalg.solve(k, rhs)
-        except np.linalg.LinAlgError:
-            break
-        y_new = y + sol[:n]
-        nrm = np.linalg.norm(y_new)
-        if nrm < 1e-150:
-            break
-        y_new /= nrm
-        m, v, g, mu_new, r_new, rn_new = state(y_new)
-        if rn_new >= best[2]:
-            break
-        y, mu, r, rn = y_new, mu_new, r_new, rn_new
-        best = (y, mu, rn)
-    return best
-
-
-def _alternating_pick(A, f, Y, iters, order):
-    results = []
-    for idx in _dedupe_candidates(f, Y, order):
-        y, mu, _ = _polish_c(A, Y[idx])
-        v = apply_yy(A, y)
-        value = float(np.linalg.norm(v))
-        if value > _ZERO_LAMBDA:
-            x = v / value
-        else:
-            x = Y[idx] / np.linalg.norm(Y[idx])
-            value = 0.0
-        rx, ry = _c_residuals(A, value, x, y)
-        results.append((value, x, y, rx, ry, idx))
-    results.sort(key=lambda t: (-t[0], t[5]))
-    best_rn = min(max(t[3], t[4]) for t in results)
-    for value, x, y, rx, ry, idx in results:
-        if max(rx, ry) <= _RESIDUAL_CAP:
-            return CEigenpair(value, x, y, rx, ry, int(iters[idx])), best_rn
-    return None, best_rn
+def _c_state(a, y):
+    """(mu, r, |r|, J) of the lift-free cubic map g(y) = M(y)^T M(y) y,
+    M(y)_ij = sum_k a_ijk y_k, whose Jacobian is J = 2 M^T M + C with
+    C_lp = sum_i (A y y)_i a_ilp."""
+    m = np.einsum("ijk,k->ij", a, y)
+    v = m @ y
+    g = m.T @ v
+    mu = float(y @ g)
+    r = g - mu * y
+    return mu, r, float(np.linalg.norm(r)), 2.0 * (m.T @ m) + np.einsum("i,ilp->lp", v, a)
 
 
 def c_max_alternating(A, cfg=SolverConfig()):
     """Largest C-eigenpair by direct ascent on the trilinear form.
 
     As in ``z_max``, the ascent runs on the max-entry-normalized tensor
-    (C-eigenvalues scale linearly) and the result is scaled back.
+    (C-eigenvalues scale linearly) and the result is scaled back. Each
+    winner candidate is polished on the lift-free cubic map, then x and
+    the value are recomputed in closed form.
     """
-    scale = float(np.abs(A.entries).max())
-    if scale == 0.0:
-        scale = 1.0
+    scale = _entry_scale(A)
     scaled = PiezoTensor(A.n, A.entries / scale)
-    a = scaled.entries
     best_rn = np.inf
     pair = None
-    for factor in (1, 2):
-        pool = _start_pool(cfg.seed, factor * cfg.starts, A.n)
-        f, _, Y, iters, converged = _alternating_phase(a, pool, cfg.tol, cfg.max_iters)
+    for starts in (cfg.starts, 2 * cfg.starts):
+        pool = _start_pool(cfg.seed, starts, A.n)
+        f, Y, iters, converged = _alternating_phase(scaled.entries, pool, cfg.tol, cfg.max_iters)
         if not converged.any():
             continue
-        idx_conv = np.flatnonzero(converged)
-        order = idx_conv[np.lexsort((idx_conv, -f[idx_conv]))]
-        top = f[order[0]]
-        lead = order[f[order] >= top - 1e-6 * max(1.0, abs(top))]
-        pair, rn = _alternating_pick(scaled, f, Y, iters, lead)
+
+        def polish(i):
+            _, y, _ = _newton_polish(Y[i], partial(_c_state, scaled.entries))
+            v = apply_yy(scaled, y)
+            value = float(np.linalg.norm(v))
+            if value > _ZERO_LAMBDA:
+                x = v / value
+            else:
+                x = Y[i] / np.linalg.norm(Y[i])
+                value = 0.0
+            rx, ry = _c_residuals(scaled, value, x, y)
+            return value, max(rx, ry), partial(CEigenpair, value, x, y, rx, ry)
+
+        pair, rn = _pick(f, Y, iters, converged, polish)
         best_rn = min(best_rn, rn)
-        if pair is None and lead.size < order.size:
-            pair, rn = _alternating_pick(scaled, f, Y, iters, order)
-            best_rn = min(best_rn, rn)
         if pair is not None:
             break
     if pair is None:

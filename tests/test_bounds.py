@@ -25,7 +25,6 @@ from ceig import (
     lift,
     make_piezo,
     parse_tensor_text,
-    sub,
     unfold_spectral_norm,
     z_max,
     z_min,
@@ -258,7 +257,7 @@ def test_companion_difference_expansion():
     # twice the cross term between the two quadratic maps
     a = rand_piezo(130)
     e = seeded_perturbation(131, 0.3)
-    diff = sub(lift(a + e), lift(a))
+    diff = lift(a + e) - lift(a)
     for s in range(50):
         y = rand_unit(4000 + s)
         lhs = eval_quartic(diff, y)

@@ -24,7 +24,6 @@ from ceig import (
     lift,
     make_piezo,
     parse_tensor_text,
-    sub,
     z_max,
     z_max_batch,
     z_min,
@@ -61,7 +60,7 @@ def rand_sym4(seed, n=3):
 
 
 def neg4(t):
-    return sub(SymTensor4(t.n, np.zeros_like(t.entries)), t)
+    return SymTensor4(t.n, np.zeros_like(t.entries)) - t
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +377,155 @@ def test_z_max_batch_is_bit_identical_to_single_solves(materials_dir, monkeypatc
         assert any(failed) and not all(failed)  # the zero tensor still converges
     else:
         assert not any(failed)
+
+
+# ---------------------------------------------------------------------------
+# pinned results of both C-routes
+
+NO_CONV = SolverConfig(starts=4, tol=1e-15, max_iters=10, seed=0)
+
+# (index, via_lift, alternating, via_lift under NO_CONV, alternating under
+# NO_CONV): a solved entry is (f"{value:.10e}", iterations), a failed one
+# is the NoConvergence message. Tensor i is rand_piezo(3100 + i) with
+# n = 2 + i % 4 and entries of size 10^(i % 10 - 6).
+# Neither route's winner rule nor its polish may move these.
+PINNED = [
+    (0,
+     ("7.8771675977e-07", 16),
+     ("7.8771675977e-07", 17),
+     "no start reached the residual target (best residual 7.112e-20)",
+     ("3.6934069043e-07", 10)),
+    (1,
+     ("1.7892728090e-05", 28),
+     ("1.7892728090e-05", 29),
+     "no start reached the residual target (best residual 5.747e-15)",
+     "alternating ascent failed to reach the residual target"),
+    (2,
+     ("2.3551345773e-04", 53),
+     ("2.3551345773e-04", 47),
+     "no start reached the residual target (best residual 1.616e-10)",
+     "alternating ascent failed to reach the residual target"),
+    (3,
+     ("2.5457300278e-03", 63),
+     ("2.5457300278e-03", 97),
+     "no start reached the residual target (best residual 7.043e-08)",
+     "alternating ascent failed to reach the residual target"),
+    (4,
+     ("1.1070648522e-02", 21),
+     ("1.1070648522e-02", 35),
+     "no start reached the residual target (best residual 2.689e-09)",
+     "alternating ascent failed to reach the residual target"),
+    (5,
+     ("1.9315744428e-01", 57),
+     ("1.9315744428e-01", 58),
+     "no start reached the residual target (best residual 2.870e-04)",
+     "alternating ascent failed to reach the residual target"),
+    (6,
+     ("1.6504480955e+00", 26),
+     ("1.6504480955e+00", 20),
+     "no start reached the residual target (best residual 8.944e-04)",
+     "alternating ascent failed to reach the residual target"),
+    (7,
+     ("2.7945189833e+01", 67),
+     ("2.7945189833e+01", 62),
+     "no start reached the residual target (best residual 9.182e+00)",
+     "alternating ascent failed to reach the residual target"),
+    (8,
+     ("7.4269549868e+01", 27),
+     ("7.4269549868e+01", 51),
+     "no start reached the residual target (best residual 9.755e-01)",
+     "alternating ascent failed to reach the residual target"),
+    (9,
+     ("1.6361695269e+03", 49),
+     ("1.6361695269e+03", 45),
+     "no start reached the residual target (best residual 2.062e+04)",
+     "alternating ascent failed to reach the residual target"),
+    (10,
+     ("2.3670463156e-06", 52),
+     ("2.3670463156e-06", 66),
+     "no start reached the residual target (best residual 4.463e-14)",
+     "alternating ascent failed to reach the residual target"),
+    (11,
+     ("2.2308791807e-05", 221),
+     ("2.2308791807e-05", 105),
+     "no start reached the residual target (best residual 9.756e-12)",
+     "alternating ascent failed to reach the residual target"),
+    (12,
+     ("1.2890005651e-04", 14),
+     ("1.2890005651e-04", 10),
+     "no start reached the residual target (best residual 4.887e-15)",
+     ("1.0685098282e-04", 9)),
+    (13,
+     ("1.4192410812e-03", 55),
+     ("1.4192410812e-03", 67),
+     "no start reached the residual target (best residual 3.050e-13)",
+     "alternating ascent failed to reach the residual target"),
+    (14,
+     ("1.5474208935e-02", 38),
+     ("1.5474208935e-02", 37),
+     "no start reached the residual target (best residual 2.360e-07)",
+     "alternating ascent failed to reach the residual target"),
+    (15,
+     ("2.4413016676e-01", 77),
+     ("2.4413016676e-01", 61),
+     "no start reached the residual target (best residual 2.725e-04)",
+     "alternating ascent failed to reach the residual target"),
+    (16,
+     ("1.3160388284e+00", 19),
+     ("1.3160388284e+00", 40),
+     "no start reached the residual target (best residual 6.795e-05)",
+     "alternating ascent failed to reach the residual target"),
+    (17,
+     ("1.6911652428e+01", 42),
+     ("1.6911652428e+01", 62),
+     "no start reached the residual target (best residual 6.355e-02)",
+     "alternating ascent failed to reach the residual target"),
+    (18,
+     ("1.6377190326e+02", 70),
+     ("1.6377190326e+02", 66),
+     "no start reached the residual target (best residual 1.863e+02)",
+     "alternating ascent failed to reach the residual target"),
+    (19,
+     ("2.9774952740e+03", 37),
+     ("2.9774952740e+03", 178),
+     "no start reached the residual target (best residual 8.571e+04)",
+     "alternating ascent failed to reach the residual target"),
+    (20,
+     ("1.3832092401e-06", 11),
+     ("1.3832092401e-06", 12),
+     ("7.7129906312e-07", 10),
+     ("7.7129906312e-07", 10)),
+    (21,
+     ("1.6152980932e-05", 28),
+     ("1.6152980932e-05", 28),
+     "no start reached the residual target (best residual 1.372e-16)",
+     "alternating ascent failed to reach the residual target"),
+    (22,
+     ("1.9994274501e-04", 56),
+     ("1.9994274501e-04", 60),
+     "no start reached the residual target (best residual 2.115e-10)",
+     "alternating ascent failed to reach the residual target"),
+    (23,
+     ("2.1106743931e-03", 79),
+     ("2.1106743931e-03", 89),
+     "no start reached the residual target (best residual 4.847e-08)",
+     "alternating ascent failed to reach the residual target"),
+]
+
+
+def pinned(route, a, cfg):
+    try:
+        pair = route(a, cfg)
+    except NoConvergence as exc:
+        return str(exc)
+    return (f"{pair.value:.10e}", pair.iterations)
+
+
+@pytest.mark.parametrize("row", PINNED, ids=lambda row: str(row[0]))
+def test_c_routes_match_pinned_results(row):
+    i, lift_ok, alt_ok, lift_bad, alt_bad = row
+    a = rand_piezo(3100 + i, n=2 + i % 4, scale=10.0 ** (i % 10 - 6))
+    assert pinned(c_max_via_lift, a, CFG) == lift_ok
+    assert pinned(c_max_alternating, a, CFG) == alt_ok
+    assert pinned(c_max_via_lift, a, NO_CONV) == lift_bad
+    assert pinned(c_max_alternating, a, NO_CONV) == alt_bad

@@ -22,7 +22,6 @@ from ceig import (
     lift,
     make_piezo,
     parse_tensor_text,
-    sub,
     unfold_spectral_norm,
 )
 from ceig.tensors import _PERMS4, unfold_gram
@@ -188,6 +187,21 @@ def test_contractions_match_loop_oracles(a, vec_seed):
     assert lhs == pytest.approx(float(y @ xay_loops(a.entries, x, y)), abs=tol)
 
 
+def test_form_xayy_with_cancelling_terms():
+    # x orthogonal to A y y sums large terms to a value near zero, where
+    # the contraction orders differ by rounding far above that value
+    scale = 1e6
+    for s in range(20):
+        a = rand_piezo(2600 + s, scale=scale)
+        y = rand_unit(2700 + s)
+        v = apply_yy(a, y)
+        x = rand_unit(2800 + s)
+        x = x - (x @ v) / (v @ v) * v
+        assert form_xayy(a, x, y) == pytest.approx(
+            float(x @ yy_loops(a.entries, y)), abs=1e-10 * scale
+        )
+
+
 # ---------------------------------------------------------------------------
 # lifting
 
@@ -285,10 +299,10 @@ def test_cubic_quartic_consistency():
 def test_sub_trivial():
     t = lift(rand_piezo(16, n=2))
     zero = SymTensor4(2, np.zeros((2, 2, 2, 2)))
-    np.testing.assert_array_equal(sub(t, t).entries, zero.entries)
-    np.testing.assert_array_equal(sub(t, zero).entries, t.entries)
+    np.testing.assert_array_equal((t - t).entries, zero.entries)
+    np.testing.assert_array_equal((t - zero).entries, t.entries)
     with pytest.raises(DimensionMismatch):
-        sub(t, lift(rand_piezo(17, n=3)))
+        t - lift(rand_piezo(17, n=3))
 
 
 def test_sub_single_entry_hand_expansion():
@@ -296,7 +310,7 @@ def test_sub_single_entry_hand_expansion():
     c, e = 2.0, 0.1
     a = single_entry(2, 0, 0, 0, c)
     e_t = single_entry(2, 0, 0, 0, e)
-    diff = sub(lift(a + e_t), lift(a))
+    diff = lift(a + e_t) - lift(a)
     expected = np.zeros((2, 2, 2, 2))
     expected[0, 0, 0, 0] = 2.0 * c * e + e * e
     np.testing.assert_allclose(diff.entries, expected, atol=1e-15)
@@ -329,6 +343,16 @@ def test_unfold_norm_against_svd_oracle():
             np.linalg.norm(e.slice(i), 2) for i in range(3)
         )
         assert slice_max - 1e-10 <= norm <= fro + 1e-10
+
+
+def test_unfold_norm_of_small_tensors_against_svd_oracle():
+    # perturbation-sized E: the Gram entries are ~scale^2, so any
+    # absolute stopping threshold on them would return a wrong norm
+    for s in range(20):
+        scale = 10.0 ** -(s % 10)
+        e = rand_piezo(3300 + s, n=2 + s % 4, scale=scale)
+        sigma = np.linalg.svd(e.entries.reshape(e.n, -1), compute_uv=False)[0]
+        assert unfold_spectral_norm(e) == pytest.approx(float(sigma), rel=1e-10)
 
 
 def test_unfold_gram_is_psd_and_symmetric():
