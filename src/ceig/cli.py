@@ -97,9 +97,7 @@ def _cmd_experiment(args):
         epsilons=_parse_eps(args.eps) if args.eps else DEFAULT_EPSILONS,
         trials=args.trials,
         seed=args.seed,
-        solver=SolverConfig(
-            starts=args.starts, tol=args.tol, max_iters=args.max_iters, seed=args.seed
-        ),
+        solver=_solver_config(args),
         signed=args.signed,
         shared_direction=args.shared_direction,
     )

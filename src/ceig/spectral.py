@@ -12,9 +12,11 @@ Two independent routes to the largest C-eigenvalue are provided:
 
 The Z-solver is shifted symmetric higher-order power iteration, batched
 over tensors and starts, with a convexity shift picked adaptively from a
-Gershgorin bound on the Hessian. Both routes share one winner rule and
-one bordered Newton polish, which pushes winning residuals down to
-machine level so the 1e-8 residual invariants hold with slack.
+Gershgorin bound on the Hessian. Both routes run through one multi-start
+driver (dedupe, normalization, doubled-start retry, failure report), one
+winner rule and one bordered Newton polish, which pushes winning
+residuals down to machine level so the 1e-8 residual invariants hold
+with slack.
 
 Brute-force spherical-grid oracles (n = 3 only) give answers the solvers
 are tested against; they share no code path with the iterative routes.
@@ -34,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .rng import SplitMix64
-from .tensors import PiezoTensor, SymTensor4, apply_xay, apply_yy, lift
+from .tensors import apply_yy, lift
 
 _RESIDUAL_CAP = 1e-8  # absolute residual admitted for a returned eigenpair
 _ZERO_LAMBDA = 1e-10  # below this the x = Ayy/lambda division is abandoned
@@ -133,19 +135,20 @@ def _start_pool(seed, starts, n):
     return pool
 
 
-def _power_phase(tmats, pool, tol, max_iters):
+def _power_phase(t, pool, tol, max_iters):
     """Batched shifted power iteration on the quartic forms of a stack of
     tensors, every start of `pool` on every tensor.
 
-    `tmats` holds the tensors flattened to n^2 x n^2 (valid by full
-    symmetry), shape (k, n^2, n^2). Returns (lam, Y, iters, converged)
+    `t` has shape (k, n, n, n, n); each tensor is iterated flattened to
+    n^2 x n^2 (valid by full symmetry). Returns (lam, Y, iters, converged)
     with a leading tensor axis. A start is converged when its Rayleigh
     value stalls within `tol` or its eigen-residual is already below
     tol * scale. The working arrays hold one row per (tensor, start) and
     rows never mix, so each tensor gets the bits it would get alone; a
     tensor leaves them once all of its starts have converged.
     """
-    k, (s, n) = tmats.shape[0], pool.shape
+    k, (s, n) = t.shape[0], pool.shape
+    tmats = t.reshape(k, n * n, n * n)
     lam_out = np.zeros((k, s))
     Y_out = np.empty((k, s, n))
     iters_out = np.zeros((k, s), dtype=int)
@@ -297,26 +300,6 @@ def _pick(vals, Y, iters, converged, polish):
     return None, best_rn
 
 
-def _z_max_attempts(tmats, pool, cfg):
-    """One multi-start pass over a stack of tensors; yields (pair or
-    None, best residual seen) per tensor."""
-    n = pool.shape[1]
-    lams, Ys, iterss, convergeds = _power_phase(np.stack(tmats), pool, cfg.tol, cfg.max_iters)
-    for tmat, lam, Y, iters, converged in zip(tmats, lams, Ys, iterss, convergeds):
-        if not converged.any():
-            pp = (Y[:, :, None] * Y[:, None, :]).reshape(Y.shape[0], n * n)
-            grad = np.matmul((pp @ tmat).reshape(-1, n, n), Y[:, :, None])[:, :, 0]
-            resid = np.linalg.norm(grad - lam[:, None] * Y, axis=1)
-            yield None, float(resid.min())
-            continue
-
-        def polish(i):
-            mu, y, rn = _newton_polish(Y[i], partial(_z_state, tmat))
-            return mu, rn, partial(ZEigenpair, mu, y, rn)
-
-        yield _pick(lam, Y, iters, converged, polish)
-
-
 def _batches(indices, tensors, starts):
     """Same-dimension groups of `indices` whose start rows x n^2 fit the
     batch budget (a tensor too large for it runs alone)."""
@@ -329,6 +312,81 @@ def _batches(indices, tensors, starts):
             yield n, group[lo:lo + size]
 
 
+def _multistart(tensors, phase, polish, stuck, failure, cfg):
+    """Multi-start driver of both routes; one entry per tensor: its pair,
+    or a held ``NoConvergence`` with message `failure`.
+
+    Tensors with equal entries are solved once. Each distinct tensor is
+    iterated max-entry-normalized, so shift margins and stall tests are
+    scale-free (a 1e-5 perturbation tensor lifts to 1e-10-sized entries,
+    which would otherwise freeze under an absolute shift); values and
+    residuals are scaled back. ``phase(stack, pool, tol, max_iters)``
+    runs every start on a same-dimension stack of normalized entries and
+    returns (vals, Y, iters, converged) with a leading tensor axis; the
+    winner is picked by ``_pick`` through ``polish(t, y, scale)``, which
+    builds its pair at the original scale; ``stuck(t, vals, Y)`` is the
+    best residual of a tensor none of whose starts converged. Tensors
+    without a pair get one doubled-start pass; the failure carries no
+    residual if neither pass saw one.
+    """
+    distinct = {}
+    for T in tensors:
+        distinct.setdefault(T.entries.tobytes(), T)
+    unique = list(distinct.values())
+    scales = [_entry_scale(T) for T in unique]
+    normed = [T.entries / scale for T, scale in zip(unique, scales)]
+    pairs = [None] * len(unique)
+    best = [np.inf] * len(unique)
+    todo = range(len(unique))
+    for starts in (cfg.starts, 2 * cfg.starts):
+        # the doubled-start pass only revisits tensors that failed
+        for n, batch in _batches(todo, unique, starts):
+            pool = _start_pool(cfg.seed, starts, n)
+            stack = np.stack([normed[i] for i in batch])
+            for i, vals, Y, iters, converged in zip(
+                batch, *phase(stack, pool, cfg.tol, cfg.max_iters)
+            ):
+                t, scale = normed[i], scales[i]
+                if converged.any():
+                    pairs[i], rn = _pick(
+                        vals, Y, iters, converged, lambda j: polish(t, Y[j], scale)
+                    )
+                else:
+                    rn = stuck(t, vals, Y)
+                best[i] = min(best[i], rn)
+        todo = [i for i in todo if pairs[i] is None]
+    solved = {}
+    for key, pair, rn, scale in zip(distinct, pairs, best, scales):
+        if pair is None:
+            rn = rn * scale if np.isfinite(rn) else None
+            pair = NoConvergence(failure, best_residual=rn)
+        solved[key] = pair
+    return [solved[T.entries.tobytes()] for T in tensors]
+
+
+def held(result):
+    """Return a multi-start entry, raising it if it is a held failure."""
+    if isinstance(result, NoConvergence):
+        raise result
+    return result
+
+
+def _z_stuck(t, lam, Y):
+    """Smallest eigen-residual among unconverged power starts."""
+    n = Y.shape[1]
+    pp = (Y[:, :, None] * Y[:, None, :]).reshape(Y.shape[0], n * n)
+    grad = np.matmul((pp @ t.reshape(n * n, n * n)).reshape(-1, n, n), Y[:, :, None])[:, :, 0]
+    return float(np.linalg.norm(grad - lam[:, None] * Y, axis=1).min())
+
+
+def _z_polish(t, y, scale):
+    """Polish on the Z-map; value and residual stay normalized for the
+    winner rule, the pair is built at the original scale."""
+    n = y.size
+    mu, y, rn = _newton_polish(y, partial(_z_state, t.reshape(n * n, n * n)))
+    return mu, rn, partial(ZEigenpair, mu * scale, y, rn * scale)
+
+
 def z_max_batch(tensors, cfg=SolverConfig()):
     """Largest Z-eigenpairs of a list of symmetric fourth-order tensors.
 
@@ -339,45 +397,9 @@ def z_max_batch(tensors, cfg=SolverConfig()):
     alone: the power phase runs over (tensor, start) rows that never
     mix. See ``z_max`` for the method.
     """
-    distinct = {}
-    for T in tensors:
-        distinct.setdefault(T.entries.tobytes(), T)
-    unique = list(distinct.values())
-    scales = [_entry_scale(T) for T in unique]
-    tmats = [
-        (T.entries / scale).reshape(T.n * T.n, T.n * T.n)
-        for T, scale in zip(unique, scales)
-    ]
-    pairs = [None] * len(unique)
-    best = [np.inf] * len(unique)
-    todo = range(len(unique))
-    for starts in (cfg.starts, 2 * cfg.starts):
-        # the doubled-start pass only revisits tensors that failed
-        for n, batch in _batches(todo, unique, starts):
-            attempts = _z_max_attempts(
-                [tmats[i] for i in batch], _start_pool(cfg.seed, starts, n), cfg
-            )
-            for i, (pair, rn) in zip(batch, attempts):
-                pairs[i], best[i] = pair, min(best[i], rn)
-        todo = [i for i in todo if pairs[i] is None]
-    solved = {}
-    for key, pair, rn, scale in zip(distinct, pairs, best, scales):
-        if pair is None:
-            solved[key] = NoConvergence(
-                "no start reached the residual target", best_residual=rn * scale
-            )
-        else:
-            solved[key] = ZEigenpair(
-                pair.value * scale, pair.y, pair.residual * scale, pair.iterations
-            )
-    return [solved[T.entries.tobytes()] for T in tensors]
-
-
-def held(result):
-    """Return a ``z_max_batch`` entry, raising it if it is a held failure."""
-    if isinstance(result, NoConvergence):
-        raise result
-    return result
+    return _multistart(
+        tensors, _power_phase, _z_polish, _z_stuck, "no start reached the residual target", cfg
+    )
 
 
 def z_max(T, cfg=SolverConfig()):
@@ -386,11 +408,6 @@ def z_max(T, cfg=SolverConfig()):
     Multi-start shifted power iteration; the winner is the converged
     start with the largest value, ties broken by lowest start index. A
     doubled-start pass is attempted once before giving up.
-
-    The iteration runs on the max-entry-normalized tensor so the shift
-    margin and stall tests are scale-free (a 1e-5 perturbation tensor
-    lifts to 1e-10-sized entries, which would otherwise freeze under an
-    absolute shift); value and residual are scaled back on return.
     """
     return held(z_max_batch([T], cfg)[0])
 
@@ -404,9 +421,10 @@ def z_min(T, cfg=SolverConfig()):
     return ZEigenpair(value, y, float(np.linalg.norm(r)), neg.iterations)
 
 
-def _c_residuals(A, value, x, y):
-    rx = apply_yy(A, y) - value * x
-    ry = apply_xay(A, x, y) - value * y
+def _c_residuals(a, value, x, y):
+    """||A y y - value x|| and ||x A y - value y|| for entries `a`."""
+    rx = np.einsum("ijk,j,k->i", a, y, y) - value * x
+    ry = np.einsum("jki,j,k->i", a, x, y) - value * y
     return float(np.linalg.norm(rx)), float(np.linalg.norm(ry))
 
 
@@ -415,9 +433,9 @@ def c_pair_from_lift(A, companion, z):
     ``lift(A)``; `z` may be a held ``z_max_batch`` failure, raised here.
 
     The companion's largest Z-value is lambda^2; x is recovered as
-    A y y / lambda, or for vanishing lambda as a unit left-null vector
-    of M(y)_{ij} = sum_k a_ijk y_k (the eigenvector of M M^T for its
-    smallest eigenvalue).
+    A y y / lambda, or for lambda vanishing against A's largest entry as
+    a unit left-null vector of M(y)_{ij} = sum_k a_ijk y_k (the
+    eigenvector of M M^T for its smallest eigenvalue).
     """
     z = held(z)
     mu = z.value
@@ -428,7 +446,7 @@ def c_pair_from_lift(A, companion, z):
         )
     value = float(np.sqrt(max(mu, 0.0)))
     y = z.y
-    if value > _ZERO_LAMBDA:
+    if value > _ZERO_LAMBDA * _entry_scale(A):
         x = apply_yy(A, y) / value
         nx = np.linalg.norm(x)
         if nx > 0:
@@ -436,7 +454,7 @@ def c_pair_from_lift(A, companion, z):
     else:
         m = np.einsum("ijk,k->ij", A.entries, y)
         x = np.linalg.eigh(m @ m.T)[1][:, 0]
-    rx, ry = _c_residuals(A, value, x, y)
+    rx, ry = _c_residuals(A.entries, value, x, y)
     if max(rx, ry) > _RESIDUAL_CAP * max(1.0, value):
         raise NoConvergence(
             "C-eigenpair residuals exceed tolerance", best_residual=max(rx, ry)
@@ -452,28 +470,30 @@ def c_max_via_lift(A, cfg=SolverConfig()):
 
 
 def _alternating_phase(a, pool, tol, max_iters):
-    """Batched block ascent on x A y y.
+    """Batched block ascent on x A y y over a (k, n, n, n) stack of
+    tensors, every start of `pool` on every tensor.
 
     x-update is the closed-form optimum for fixed y; y-update is one
     power step on N(x) shifted by its Frobenius norm, which keeps the
-    objective nondecreasing.
+    objective nondecreasing. Returns (f, Y, iters, converged) with a
+    leading tensor axis; rows never mix, as in ``_power_phase``.
     """
-    Y = pool.copy()
-    s, n = Y.shape
-    amat = a.reshape(n, n * n)
-    X = np.tile(np.eye(n)[0], (s, 1))
-    f_prev = np.full(s, -np.inf)
-    f = np.zeros(s)
-    iters = np.zeros(s, dtype=int)
-    active = np.ones(s, dtype=bool)
-    for k in range(1, max_iters + 1):
-        pp = (Y[:, :, None] * Y[:, None, :]).reshape(s, n * n)
-        v = pp @ amat.T
+    k, (s, n) = a.shape[0], pool.shape
+    amats = a.reshape(k, n, n * n)
+    Y = np.tile(pool, (k, 1))
+    X = np.tile(np.eye(n)[0], (k * s, 1))
+    f_prev = np.full(k * s, -np.inf)
+    f = np.zeros(k * s)
+    iters = np.zeros(k * s, dtype=int)
+    active = np.ones(k * s, dtype=bool)
+    for it in range(1, max_iters + 1):
+        pp = (Y[:, :, None] * Y[:, None, :]).reshape(k, s, n * n)
+        v = np.matmul(pp, amats.transpose(0, 2, 1)).reshape(k * s, n)
         vn = np.linalg.norm(v, axis=1)
         ok = active & (vn > 1e-150)
         X[ok] = v[ok] / vn[ok, None]
-        nb = (X @ amat).reshape(s, n, n)
-        frob = np.linalg.norm(nb.reshape(s, -1), axis=1)
+        nb = np.matmul(X.reshape(k, s, n), amats).reshape(k * s, n, n)
+        frob = np.linalg.norm(nb.reshape(k * s, -1), axis=1)
         w = np.matmul(nb, Y[:, :, None])[:, :, 0] + frob[:, None] * Y
         wn = np.linalg.norm(w, axis=1)
         step = active & (wn > 1e-150)
@@ -481,12 +501,12 @@ def _alternating_phase(a, pool, tol, max_iters):
         f_k = (np.matmul(nb, Y[:, :, None])[:, :, 0] * Y).sum(axis=1)
         f[active] = f_k[active]
         newly = active & (np.abs(f_k - f_prev) <= tol)
-        iters[newly] = k
+        iters[newly] = it
         active &= ~newly
         if not active.any():
             break
         f_prev = f_k
-    return f, Y, iters, ~active
+    return f.reshape(k, s), Y.reshape(k, s, n), iters.reshape(k, s), ~active.reshape(k, s)
 
 
 def _c_state(a, y):
@@ -501,53 +521,28 @@ def _c_state(a, y):
     return mu, r, float(np.linalg.norm(r)), 2.0 * (m.T @ m) + np.einsum("i,ilp->lp", v, a)
 
 
+def _c_polish(a, y0, scale):
+    """Polish on the lift-free cubic map, then recompute x and the value
+    in closed form."""
+    _, y, _ = _newton_polish(y0, partial(_c_state, a))
+    v = np.einsum("ijk,j,k->i", a, y, y)
+    value = float(np.linalg.norm(v))
+    if value > _ZERO_LAMBDA:
+        x = v / value
+    else:
+        x = y0 / np.linalg.norm(y0)
+        value = 0.0
+    rx, ry = _c_residuals(a, value, x, y)
+    return value, max(rx, ry), partial(CEigenpair, value * scale, x, y, rx * scale, ry * scale)
+
+
 def c_max_alternating(A, cfg=SolverConfig()):
-    """Largest C-eigenpair by direct ascent on the trilinear form.
-
-    As in ``z_max``, the ascent runs on the max-entry-normalized tensor
-    (C-eigenvalues scale linearly) and the result is scaled back. Each
-    winner candidate is polished on the lift-free cubic map, then x and
-    the value are recomputed in closed form.
-    """
-    scale = _entry_scale(A)
-    scaled = PiezoTensor(A.n, A.entries / scale)
-    best_rn = np.inf
-    pair = None
-    for starts in (cfg.starts, 2 * cfg.starts):
-        pool = _start_pool(cfg.seed, starts, A.n)
-        f, Y, iters, converged = _alternating_phase(scaled.entries, pool, cfg.tol, cfg.max_iters)
-        if not converged.any():
-            continue
-
-        def polish(i):
-            _, y, _ = _newton_polish(Y[i], partial(_c_state, scaled.entries))
-            v = apply_yy(scaled, y)
-            value = float(np.linalg.norm(v))
-            if value > _ZERO_LAMBDA:
-                x = v / value
-            else:
-                x = Y[i] / np.linalg.norm(Y[i])
-                value = 0.0
-            rx, ry = _c_residuals(scaled, value, x, y)
-            return value, max(rx, ry), partial(CEigenpair, value, x, y, rx, ry)
-
-        pair, rn = _pick(f, Y, iters, converged, polish)
-        best_rn = min(best_rn, rn)
-        if pair is not None:
-            break
-    if pair is None:
-        raise NoConvergence(
-            "alternating ascent failed to reach the residual target",
-            best_residual=None if not np.isfinite(best_rn) else best_rn * scale,
-        )
-    return CEigenpair(
-        pair.value * scale,
-        pair.x,
-        pair.y,
-        pair.residual_x * scale,
-        pair.residual_y * scale,
-        pair.iterations,
-    )
+    """Largest C-eigenpair by direct ascent on the trilinear form, a
+    multi-start batch of one like ``z_max``."""
+    return held(_multistart(
+        [A], _alternating_phase, _c_polish, lambda *_: np.inf,
+        "alternating ascent failed to reach the residual target", cfg,
+    )[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ tiny (n <= 5), so n^3 / n^4 arrays beat any folded scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,12 +25,16 @@ from .errors import (
     SymmetryViolation,
 )
 
-_PERMS4 = (
-    (0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1),
-    (1, 0, 2, 3), (1, 0, 3, 2), (1, 2, 0, 3), (1, 2, 3, 0), (1, 3, 0, 2), (1, 3, 2, 0),
-    (2, 0, 1, 3), (2, 0, 3, 1), (2, 1, 0, 3), (2, 1, 3, 0), (2, 3, 0, 1), (2, 3, 1, 0),
-    (3, 0, 1, 2), (3, 0, 2, 1), (3, 1, 0, 2), (3, 1, 2, 0), (3, 2, 0, 1), (3, 2, 1, 0),
-)
+
+@lru_cache(maxsize=8)
+def _sorted_index(n):
+    """Flat position of each entry's index-sorted representative among
+    the n^4 entries: an array is invariant under all 24 index
+    permutations exactly when it equals its gather through this."""
+    idx = np.indices((n,) * 4).reshape(4, -1)
+    flat = np.ravel_multi_index(np.sort(idx, axis=0), (n,) * 4)
+    flat.setflags(write=False)
+    return flat
 
 
 def _freeze(arr):
@@ -108,11 +113,14 @@ class SymTensor4:
             )
         if not np.all(np.isfinite(arr)):
             raise NonFinite("tensor entries must be finite")
-        for perm in _PERMS4[1:]:
-            if not np.array_equal(arr, arr.transpose(perm)):
-                raise SymmetryViolation(
-                    f"entries are not invariant under index permutation {perm}"
-                )
+        flat = arr.ravel()
+        canon = flat[_sorted_index(self.n)]
+        if not np.array_equal(flat, canon):
+            bad = np.unravel_index(np.flatnonzero(flat != canon)[0], arr.shape)
+            raise SymmetryViolation(
+                f"entries are not fully symmetric: entry {tuple(int(i) for i in bad)}"
+                f" differs from entry {tuple(sorted(int(i) for i in bad))}"
+            )
         object.__setattr__(self, "entries", _freeze(arr))
 
     def __sub__(self, other):
@@ -204,10 +212,7 @@ def lift(A):
     bbar = (b + b.transpose(0, 2, 1, 3) + b.transpose(0, 2, 3, 1)) / 3.0
     # Gather every entry from its index-sorted representative; this turns
     # ulp-level reordering noise into exact permutation invariance.
-    idx = np.indices((A.n,) * 4)
-    srt = np.sort(idx.reshape(4, -1), axis=0).reshape(idx.shape)
-    canon = bbar[srt[0], srt[1], srt[2], srt[3]]
-    return SymTensor4(A.n, canon)
+    return SymTensor4(A.n, bbar.ravel()[_sorted_index(A.n)].reshape(bbar.shape))
 
 
 def eval_quartic(T, y):

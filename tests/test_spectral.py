@@ -224,6 +224,17 @@ def test_c_pair_defining_equations():
         assert pair.value ** 2 == pytest.approx(mu, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-11, 1e-12])
+def test_small_lambda_keeps_x_along_ayy(scale):
+    # lambda is compared to the tensor's largest entry, not to an absolute
+    # floor: a tiny nonzero tensor still has x = A y y / lambda
+    a = rand_piezo(5, scale=scale)
+    pair = c_max_via_lift(a, CFG)
+    v = apply_yy(a, pair.y)
+    assert abs(float(pair.x @ v)) / np.linalg.norm(v) >= 1.0 - 1e-12
+    assert pair.value == pytest.approx(c_max_alternating(a, CFG).value, rel=1e-6)
+
+
 def test_c_max_alternating_examples():
     assert c_max_alternating(single_entry_piezo(2.0), CFG).value == pytest.approx(
         2.0, abs=1e-9
@@ -312,6 +323,32 @@ def test_tight_tolerance_still_converges_with_budget():
     a = rand_piezo(9)
     pair = z_max(lift(a), SolverConfig(starts=4, tol=1e-15, max_iters=5000, seed=0))
     assert pair.residual <= 1e-12
+
+
+@pytest.mark.parametrize("route", [c_max_via_lift, c_max_alternating])
+def test_doubled_start_retry_matches_a_doubled_solve(monkeypatch, route):
+    # two starts all stall short of tol in 40 steps; the retry with four
+    # succeeds and must return exactly what a four-start solve returns
+    a = rand_piezo(20)
+    seen = []
+    pool = spectral._start_pool
+
+    def recording(seed, starts, n):
+        seen.append(starts)
+        return pool(seed, starts, n)
+
+    monkeypatch.setattr(spectral, "_start_pool", recording)
+    want = route(a, SolverConfig(starts=4, tol=1e-14, max_iters=40))
+    assert seen == [4]
+    seen.clear()
+    got = route(a, SolverConfig(starts=2, tol=1e-14, max_iters=40))
+    assert seen == [2, 4]
+    assert got.value == want.value
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.residual_x == want.residual_x
+    assert got.residual_y == want.residual_y
+    assert got.iterations == want.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tensor-core algebra against hand values and loop-summation oracles."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from ceig import (
     parse_tensor_text,
     unfold_spectral_norm,
 )
-from ceig.tensors import _PERMS4, unfold_gram
+from ceig.tensors import unfold_gram
 
 from conftest import (
     cubic_loops,
@@ -229,8 +232,20 @@ def test_lift_matches_loop_oracle(n):
 def test_lift_symmetry_is_exact():
     a = rand_piezo(11, n=3)
     t = lift(a).entries
-    for perm in _PERMS4:
+    for perm in itertools.permutations(range(4)):
         np.testing.assert_array_equal(t, t.transpose(perm))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sym_tensor4_rejects_one_ulp_off_its_sorted_entry(n):
+    t = lift(rand_piezo(18, n=n)).entries
+    for idx in itertools.product(range(n), repeat=4):
+        if list(idx) == sorted(idx):
+            continue
+        bad = t.copy()
+        bad[idx] = np.nextafter(bad[idx], np.inf)
+        with pytest.raises(SymmetryViolation, match=re.escape(f"entry {idx} differs")):
+            SymTensor4(n, bad)
 
 
 def test_lift_quartic_identity():
