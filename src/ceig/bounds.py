@@ -45,10 +45,6 @@ class Interval:
         if self.lo > self.hi + 1e-12:
             raise PropertyViolation(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self):
-        return self.hi - self.lo
-
     def contains(self, value, slack=0.0):
         return self.lo - slack <= value <= self.hi + slack
 

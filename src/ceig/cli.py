@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    ceig compute <tensor-file> [--starts N --tol T --seed S]
+    ceig compute <tensor-file> [--starts N --tol T --max-iters M --seed S]
     ceig bounds <A-file> <E-file> [solver flags]
     ceig experiment --materials <dir> --csv <out> [...]
     ceig oracle <tensor-file> --resolution R
@@ -37,10 +37,11 @@ from .tensors import lift
 
 
 def _add_solver_flags(p):
-    p.add_argument("--starts", type=int, default=50, help="random starts per solve")
-    p.add_argument("--tol", type=float, default=1e-12, help="stall tolerance")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    p.add_argument("--max-iters", type=int, default=5000, help="iteration cap per start")
+    d = SolverConfig()
+    p.add_argument("--starts", type=int, default=d.starts, help="random starts per solve")
+    p.add_argument("--tol", type=float, default=d.tol, help="stall tolerance")
+    p.add_argument("--seed", type=int, default=d.seed, help="PRNG seed")
+    p.add_argument("--max-iters", type=int, default=d.max_iters, help="iteration cap per start")
 
 
 def _solver_config(args):

@@ -211,19 +211,12 @@ def run_experiment(materials, cfg=ExperimentConfig()):
     return rows
 
 
-def _open_for_write(destination):
-    if hasattr(destination, "write"):
-        return destination, False
-    return open(destination, "w", encoding="utf-8", newline="\n"), True
-
-
 CSV_HEADER = "material,epsilon,trial,true_lambda,lo21,hi21,lo24,hi24,lo25,hi25,nested,contained"
 
 
-def emit_csv(rows, destination):
+def emit_csv(rows, path):
     """Write rows as CSV with 8-decimal values and LF line endings."""
-    out, own = _open_for_write(destination)
-    try:
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(CSV_HEADER + "\n")
         for r in rows:
             fields = [
@@ -241,19 +234,15 @@ def emit_csv(rows, destination):
                 "true" if r.contained else "false",
             ]
             out.write(",".join(fields) + "\n")
-    finally:
-        if own:
-            out.close()
 
 
-def emit_markdown(rows, destination):
+def emit_markdown(rows, path):
     """Table per material: epsilon columns, an upper-endpoint section and
     a lower-endpoint section, mirroring the reference layout.
 
     Only trial 0 is rendered; other trials stay CSV-only.
     """
-    out, own = _open_for_write(destination)
-    try:
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
         if not rows:
             out.write("No experiment rows.\n")
             return
@@ -282,6 +271,3 @@ def emit_markdown(rows, destination):
                     tag = label if label == "TRUE" else f"{label} {section}"
                     out.write(f"| {tag} | {cells} |\n")
             out.write("\n")
-    finally:
-        if own:
-            out.close()

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .rng import SplitMix64
-from .tensors import apply_yy, lift
+from .tensors import lift
 
 _RESIDUAL_CAP = 1e-8  # absolute residual admitted for a returned eigenpair
 _ZERO_LAMBDA = 1e-10  # below this the x = Ayy/lambda division is abandoned
@@ -259,18 +259,20 @@ def _newton_polish(y, state):
 
 def _dedupe_candidates(lam, Y, order):
     """Collapse starts that converged to the same critical point (up to
-    sign of y); keeps the first index in `order` as representative."""
+    sign of y); keeps the first index in `order` as representative.
+
+    Each representative is the first candidate still live, and it
+    retires every later one within its value band whose y is aligned
+    with its own.
+    """
+    live = np.asarray(order)
     reps = []
-    for idx in order:
-        dup = False
-        for j in reps:
-            close = abs(lam[idx] - lam[j]) <= 1e-8 * max(1.0, abs(lam[j]))
-            aligned = abs(float(Y[idx] @ Y[j])) >= 1.0 - 1e-6
-            if close and aligned:
-                dup = True
-                break
-        if not dup:
-            reps.append(idx)
+    while live.size:
+        j, rest = live[0], live[1:]
+        reps.append(j)
+        close = np.abs(lam[rest] - lam[j]) <= 1e-8 * max(1.0, abs(lam[j]))
+        aligned = np.abs(Y[rest] @ Y[j]) >= 1.0 - 1e-6
+        live = rest[~(close & aligned)]
     return reps
 
 
@@ -413,17 +415,18 @@ def z_max(T, cfg=SolverConfig()):
 
 
 def z_min(T, cfg=SolverConfig()):
-    """Smallest Z-eigenvalue, via the negation identity min(T) = -max(-T)."""
+    """Smallest Z-eigenvalue, via the negation identity min(T) = -max(-T).
+
+    The residual carries over: ||(-T) y^3 + lambda y|| = ||T y^3 - lambda y||.
+    """
     neg = z_max(-T, cfg)
-    y = neg.y
-    value = -neg.value
-    r = np.einsum("ijkl,j,k,l->i", T.entries, y, y, y) - value * y
-    return ZEigenpair(value, y, float(np.linalg.norm(r)), neg.iterations)
+    return ZEigenpair(-neg.value, neg.y, neg.residual, neg.iterations)
 
 
-def _c_residuals(a, value, x, y):
-    """||A y y - value x|| and ||x A y - value y|| for entries `a`."""
-    rx = np.einsum("ijk,j,k->i", a, y, y) - value * x
+def _c_residuals(a, ayy, value, x, y):
+    """||A y y - value x|| and ||x A y - value y|| for entries `a`, given
+    ayy = A y y."""
+    rx = ayy - value * x
     ry = np.einsum("jki,j,k->i", a, x, y) - value * y
     return float(np.linalg.norm(rx)), float(np.linalg.norm(ry))
 
@@ -446,15 +449,16 @@ def c_pair_from_lift(A, companion, z):
         )
     value = float(np.sqrt(max(mu, 0.0)))
     y = z.y
+    ayy = np.einsum("ijk,j,k->i", A.entries, y, y)
     if value > _ZERO_LAMBDA * _entry_scale(A):
-        x = apply_yy(A, y) / value
+        x = ayy / value
         nx = np.linalg.norm(x)
         if nx > 0:
             x = x / nx
     else:
         m = np.einsum("ijk,k->ij", A.entries, y)
         x = np.linalg.eigh(m @ m.T)[1][:, 0]
-    rx, ry = _c_residuals(A.entries, value, x, y)
+    rx, ry = _c_residuals(A.entries, ayy, value, x, y)
     if max(rx, ry) > _RESIDUAL_CAP * max(1.0, value):
         raise NoConvergence(
             "C-eigenpair residuals exceed tolerance", best_residual=max(rx, ry)
@@ -532,7 +536,7 @@ def _c_polish(a, y0, scale):
     else:
         x = y0 / np.linalg.norm(y0)
         value = 0.0
-    rx, ry = _c_residuals(a, value, x, y)
+    rx, ry = _c_residuals(a, v, value, x, y)
     return value, max(rx, ry), partial(CEigenpair, value * scale, x, y, rx * scale, ry * scale)
 
 

@@ -1,4 +1,5 @@
-"""Value types and contraction algebra for piezoelectric-type tensors.
+"""Piezoelectric-type tensors: value types, the fourth-order companion,
+the slice-unfolding norm and the text format.
 
 A piezoelectric-type tensor is an order-3 real tensor A = (a_ijk) that is
 symmetric in its last two indices. The symmetric fourth-order companion
@@ -68,10 +69,6 @@ class PiezoTensor:
             raise SymmetryViolation("entries are not symmetric in the last two indices")
         object.__setattr__(self, "entries", _freeze(arr))
 
-    def slice(self, i):
-        """Horizontal slice A(i, :, :), a symmetric n x n matrix."""
-        return self.entries[i]
-
     def __add__(self, other):
         if not isinstance(other, PiezoTensor):
             return NotImplemented
@@ -135,11 +132,6 @@ class SymTensor4:
     def __neg__(self):
         return SymTensor4(self.n, -self.entries)
 
-    def __mul__(self, t):
-        return SymTensor4(self.n, self.entries * float(t))
-
-    __rmul__ = __mul__
-
 
 def make_piezo(n, raw, mode="strict"):
     """Build a PiezoTensor from n^3 raw values in lexicographic layout.
@@ -169,34 +161,6 @@ def make_piezo(n, raw, mode="strict"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _check_vec(v, n, label="vector"):
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != n:
-        raise DimensionMismatch(f"{label} has length {v.size}, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise NonFinite(f"{label} must be finite")
-    return v
-
-
-def apply_yy(A, y):
-    """Vector with i-th entry sum_jk a_ijk y_j y_k (unit norm not required)."""
-    y = _check_vec(y, A.n, "y")
-    return np.einsum("ijk,j,k->i", A.entries, y, y)
-
-
-def apply_xay(A, x, y):
-    """Vector with i-th entry sum_jk a_jki x_j y_k."""
-    x = _check_vec(x, A.n, "x")
-    y = _check_vec(y, A.n, "y")
-    return np.einsum("jki,j,k->i", A.entries, x, y)
-
-
-def form_xayy(A, x, y):
-    """Trilinear form sum_ijk a_ijk x_i y_j y_k."""
-    x = _check_vec(x, A.n, "x")
-    return float(np.dot(x, apply_yy(A, y)))
-
-
 def lift(A):
     """Symmetric fourth-order companion of a piezoelectric-type tensor.
 
@@ -213,18 +177,6 @@ def lift(A):
     # Gather every entry from its index-sorted representative; this turns
     # ulp-level reordering noise into exact permutation invariance.
     return SymTensor4(A.n, bbar.ravel()[_sorted_index(A.n)].reshape(bbar.shape))
-
-
-def eval_quartic(T, y):
-    """Full quadruple contraction T y^4."""
-    y = _check_vec(y, T.n, "y")
-    return float(np.einsum("ijkl,i,j,k,l->", T.entries, y, y, y, y))
-
-
-def apply_cubic(T, y):
-    """Vector with i-th entry sum_jkl t_ijkl y_j y_k y_l."""
-    y = _check_vec(y, T.n, "y")
-    return np.einsum("ijkl,j,k,l->i", T.entries, y, y, y)
 
 
 def unfold_gram(E):
@@ -311,13 +263,3 @@ def parse_tensor_text(text, path="<string>"):
         raise ParseError(path, header_line, str(exc)) from exc
     return tensor, name
 
-
-def format_tensor_text(A, name=None, strict=True):
-    """Render a PiezoTensor in the text format (nonzero entries only)."""
-    lines = [f"n {A.n} strict" if strict else f"n {A.n}"]
-    if name:
-        lines.append(f"name {name}")
-    for (i, j, k), v in np.ndenumerate(A.entries):
-        if v != 0.0:
-            lines.append(f"{i + 1} {j + 1} {k + 1} {float(v)!r}")
-    return "\n".join(lines) + "\n"

@@ -101,6 +101,17 @@ def lift_loops(a):
     return bbar
 
 
+def format_tensor_text(A, name=None, strict=True):
+    """Render a PiezoTensor in the text format (nonzero entries only)."""
+    lines = [f"n {A.n} strict" if strict else f"n {A.n}"]
+    if name:
+        lines.append(f"name {name}")
+    for (i, j, k), v in np.ndenumerate(A.entries):
+        if v != 0.0:
+            lines.append(f"{i + 1} {j + 1} {k + 1} {float(v)!r}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def materials_dir():
     from pathlib import Path

@@ -19,7 +19,6 @@ from ceig import (
     c_max_alternating,
     c_max_via_lift,
     check_nesting,
-    eval_quartic,
     full_report,
     gen_perturbation,
     grid_oracle_c,
@@ -34,7 +33,7 @@ from ceig import (
 from ceig.cli import main as cli_main
 from ceig.rng import SplitMix64, derive_seed
 
-from conftest import rand_piezo, rand_unit
+from conftest import quartic_loops, rand_piezo, rand_unit
 
 CFG = SolverConfig(starts=12, tol=1e-12, max_iters=5000, seed=0)
 
@@ -163,7 +162,7 @@ def test_criterion_3_psd_floor(solver_batch, capsys):
     for i, rec in enumerate(solver_batch):
         for j in range(20):
             y = rand_unit(derive_seed(404, i, j))
-            worst_quartic = min(worst_quartic, eval_quartic(rec["companion"], y))
+            worst_quartic = min(worst_quartic, quartic_loops(rec["companion"].entries, y))
             draws += 1
     assert draws == 10_000
     assert worst_quartic >= -1e-10

@@ -1,15 +1,18 @@
 """Exit codes and output shapes of the command-line interface."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ceig import PropertyViolation, format_tensor_text, make_piezo
+import ceig
+from ceig import PropertyViolation, make_piezo
 from ceig.cli import main
 
-from conftest import rand_piezo
+from conftest import format_tensor_text, rand_piezo
 
 
 @pytest.fixture
@@ -219,10 +222,13 @@ def test_oracle_wrong_dimension(tmp_path, capsys):
 
 
 def test_console_script_smoke(single_entry_file):
+    # the child imports the same ceig as this process, installed or not
+    path = [str(Path(ceig.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "ceig.cli", "compute", str(single_entry_file), "--starts", "8"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     assert "lambda_c" in proc.stdout

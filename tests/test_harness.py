@@ -1,7 +1,6 @@
 """Material loading, perturbation draws, experiment protocol, emitters."""
 
 import csv
-import io
 
 import numpy as np
 import pytest
@@ -261,10 +260,9 @@ def make_rows(count=1):
     return run_experiment(mats, ExperimentConfig(epsilons=eps, solver=QUICK))
 
 
-def test_emit_csv_empty():
-    buf = io.StringIO()
-    emit_csv([], buf)
-    assert buf.getvalue() == CSV_HEADER + "\n"
+def test_emit_csv_empty(tmp_path):
+    emit_csv([], tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (CSV_HEADER + "\n").encode()
 
 
 def test_emit_csv_row_shape_and_round_trip(tmp_path):
@@ -288,17 +286,16 @@ def test_emit_csv_row_shape_and_round_trip(tmp_path):
         assert rec["nested"] == "true" and rec["contained"] == "true"
 
 
-def test_emit_csv_deterministic_bytes():
-    a, b = io.StringIO(), io.StringIO()
+def test_emit_csv_deterministic_bytes(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(make_rows(2), a)
     emit_csv(make_rows(2), b)
-    assert a.getvalue() == b.getvalue()
+    assert a.read_bytes() == b.read_bytes()
 
 
-def test_emit_markdown_single_cell():
-    buf = io.StringIO()
-    emit_markdown(make_rows(1), buf)
-    text = buf.getvalue()
+def test_emit_markdown_single_cell(tmp_path):
+    emit_markdown(make_rows(1), tmp_path / "out.md")
+    text = (tmp_path / "out.md").read_text(encoding="utf-8")
     assert text.count("### ") == 1
     data_rows = [l for l in text.splitlines() if l.startswith("| ") and "bound" not in l]
     assert len(data_rows) == 8  # 2 sections x 4 labels
@@ -306,17 +303,16 @@ def test_emit_markdown_single_cell():
     assert "eps=0.1" in text
 
 
-def test_emit_markdown_empty_and_multi_trial():
-    buf = io.StringIO()
-    emit_markdown([], buf)
-    assert buf.getvalue() == "No experiment rows.\n"
+def test_emit_markdown_empty_and_multi_trial(tmp_path):
+    dest = tmp_path / "out.md"
+    emit_markdown([], dest)
+    assert dest.read_bytes() == b"No experiment rows.\n"
 
     rows = run_experiment(
         [single_material(2.0)],
         ExperimentConfig(epsilons=(1e-2,), trials=2, solver=QUICK),
     )
-    buf = io.StringIO()
-    emit_markdown(rows, buf)
-    text = buf.getvalue()
+    emit_markdown(rows, dest)
+    text = dest.read_text(encoding="utf-8")
     assert text.startswith("Showing trial 0 of 2")
     assert text.count("| TRUE |") == 2

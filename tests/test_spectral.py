@@ -13,12 +13,8 @@ from ceig import (
     UnsupportedDimension,
     ValidationError,
     ZEigenpair,
-    apply_cubic,
-    apply_yy,
-    apply_xay,
     c_max_alternating,
     c_max_via_lift,
-    eval_quartic,
     grid_oracle_c,
     grid_oracle_z,
     lift,
@@ -32,7 +28,7 @@ from ceig import spectral
 from ceig.harness import gen_perturbation, load_material
 from ceig.rng import SplitMix64
 
-from conftest import rand_piezo
+from conftest import cubic_loops, quartic_loops, rand_piezo, xay_loops, yy_loops
 
 CFG = SolverConfig(starts=12, tol=1e-12, max_iters=5000, seed=0)
 
@@ -122,20 +118,22 @@ def test_z_min_psd_floor_on_lifts():
         a = rand_piezo(500 + s)
         pair = z_min(lift(a), CFG)
         assert pair.value >= -1e-8
-        # the residual invariant is against the original tensor
+        # the residual invariant is against the original tensor, and the
+        # reported residual is that one
         res = np.linalg.norm(
-            apply_cubic(lift(a), pair.y) - pair.value * pair.y
+            cubic_loops(lift(a).entries, pair.y) - pair.value * pair.y
         )
         assert res <= 1e-8 * max(1.0, abs(pair.value))
+        assert abs(pair.residual - res) <= 1e-12 * max(1.0, abs(pair.value))
 
 
 def test_z_pair_satisfies_eigen_equation():
     t = rand_sym4(7)
     pair = z_max(t, CFG)
     np.testing.assert_allclose(
-        apply_cubic(t, pair.y), pair.value * pair.y, atol=1e-9
+        cubic_loops(t.entries, pair.y), pair.value * pair.y, atol=1e-9
     )
-    assert eval_quartic(t, pair.y) == pytest.approx(pair.value, abs=1e-9)
+    assert quartic_loops(t.entries, pair.y) == pytest.approx(pair.value, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +204,7 @@ def test_c_max_zero_branch_null_space():
     # needs a unit x with x A y = 0; the zero tensor is the extreme case
     a = make_piezo(2, np.zeros(8))
     pair = c_max_via_lift(a, CFG)
-    np.testing.assert_allclose(apply_xay(a, pair.x, pair.y), np.zeros(2), atol=1e-12)
+    np.testing.assert_allclose(xay_loops(a.entries, pair.x, pair.y), np.zeros(2), atol=1e-12)
 
 
 def test_c_pair_defining_equations():
@@ -215,10 +213,10 @@ def test_c_pair_defining_equations():
         pair = c_max_via_lift(a, CFG)
         scale = max(1.0, abs(pair.value))
         np.testing.assert_allclose(
-            apply_yy(a, pair.y), pair.value * pair.x, atol=1e-8 * scale
+            yy_loops(a.entries, pair.y), pair.value * pair.x, atol=1e-8 * scale
         )
         np.testing.assert_allclose(
-            apply_xay(a, pair.x, pair.y), pair.value * pair.y, atol=1e-8 * scale
+            xay_loops(a.entries, pair.x, pair.y), pair.value * pair.y, atol=1e-8 * scale
         )
         mu = z_max(lift(a), CFG).value
         assert pair.value ** 2 == pytest.approx(mu, rel=1e-9, abs=1e-12)
@@ -230,7 +228,7 @@ def test_small_lambda_keeps_x_along_ayy(scale):
     # floor: a tiny nonzero tensor still has x = A y y / lambda
     a = rand_piezo(5, scale=scale)
     pair = c_max_via_lift(a, CFG)
-    v = apply_yy(a, pair.y)
+    v = yy_loops(a.entries, pair.y)
     assert abs(float(pair.x @ v)) / np.linalg.norm(v) >= 1.0 - 1e-12
     assert pair.value == pytest.approx(c_max_alternating(a, CFG).value, rel=1e-6)
 
@@ -264,7 +262,7 @@ def test_solver_handles_other_dimensions():
         pair = c_max_via_lift(a, CFG)
         scale = max(1.0, abs(pair.value))
         np.testing.assert_allclose(
-            apply_yy(a, pair.y), pair.value * pair.x, atol=1e-8 * scale
+            yy_loops(a.entries, pair.y), pair.value * pair.x, atol=1e-8 * scale
         )
         alt = c_max_alternating(a, CFG)
         assert abs(pair.value - alt.value) <= 1e-6
@@ -367,8 +365,8 @@ def mixed_batch(materials_dir):
         diff,
         -diff,
         SymTensor4(3, np.zeros((3,) * 4)),
-        lift(r) * 1e-8,
-        rand_sym4(5) * 1e3,
+        SymTensor4(3, lift(r).entries * 1e-8),
+        SymTensor4(3, rand_sym4(5).entries * 1e3),
         lift(a),
     ]
 
@@ -414,6 +412,58 @@ def test_z_max_batch_is_bit_identical_to_single_solves(materials_dir, monkeypatc
         assert any(failed) and not all(failed)  # the zero tensor still converges
     else:
         assert not any(failed)
+
+
+# ---------------------------------------------------------------------------
+# collapsing duplicate starts
+
+
+def dedupe_nested(lam, Y, order):
+    """Reference: the nested loop over candidates, each checked against
+    every representative kept before it."""
+    reps = []
+    for idx in order:
+        dup = False
+        for j in reps:
+            close = abs(lam[idx] - lam[j]) <= 1e-8 * max(1.0, abs(lam[j]))
+            aligned = abs(float(Y[idx] @ Y[j])) >= 1.0 - 1e-6
+            if close and aligned:
+                dup = True
+                break
+        if not dup:
+            reps.append(idx)
+    return reps
+
+
+def test_dedupe_non_transitive_chain():
+    # a ~ b and b ~ c, but a !~ c: the representative's own band decides
+    y = np.array([0.6, 0.8])
+    lam = np.array([0.5, 0.5 + 0.6e-8, 0.5 + 1.2e-8])
+    Y = np.array([y, -y, y])
+    for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0], [0, 2, 1]):
+        got = spectral._dedupe_candidates(lam, Y, np.array(order))
+        assert [int(i) for i in got] == dedupe_nested(lam, Y, order)
+    assert spectral._dedupe_candidates(lam, Y, np.array([0, 1, 2])) == [0, 2]
+    assert spectral._dedupe_candidates(lam, Y, np.array([1, 0, 2])) == [1]
+
+
+def test_dedupe_matches_the_nested_candidate_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n, s, k = rng.integers(2, 6), rng.integers(1, 60), rng.integers(1, 6)
+        centers = rng.normal(size=(k, n))
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        values = rng.normal(size=k) * 10.0 ** rng.uniform(-3, 3)
+        values[rng.random(k) < 0.3] = values[0]  # distinct points, equal values
+        hit = rng.integers(0, k, size=s)
+        # value and angle noise straddling the 1e-8 band and 1 - 1e-6 alignment
+        band = 1e-8 * np.maximum(1.0, np.abs(values[hit]))
+        lam = values[hit] + band * rng.uniform(-2.0, 2.0, size=s)
+        Y = centers[hit] + 10.0 ** rng.uniform(-5, -2, size=(s, 1)) * rng.normal(size=(s, n))
+        Y *= rng.choice([-1.0, 1.0], size=(s, 1)) / np.linalg.norm(Y, axis=1, keepdims=True)
+        for order in (np.arange(s), rng.permutation(s), np.lexsort((np.arange(s), -lam))):
+            got = spectral._dedupe_candidates(lam, Y, order)
+            assert [int(i) for i in got] == dedupe_nested(lam, Y, order)
 
 
 # ---------------------------------------------------------------------------
