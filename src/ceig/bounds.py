@@ -135,15 +135,17 @@ def report_problems(lifted_a, lifted_e, lifted_sum):
     return [lifted_a, lifted_e, -diff, diff]
 
 
-def assemble_report(A, E, lifted_a, lifted_e, solved):
+def assemble_report(A, E, solved):
     """BoundReport from the ``z_max_batch`` entries of ``report_problems``.
 
-    Held solver failures are raised in the order a sequential solve
-    would meet them: lambda(A), lambda(E), then the difference extremes.
+    lambda(A) and lambda(E) come from ``c_pair_from_lift``, so each is
+    checked against its tensor's largest entry. Held solver failures and
+    those checks raise in the order a sequential solve would meet them:
+    lambda(A), lambda(E), then the difference extremes.
     """
     z_a, z_e, z_neg_diff, z_diff = solved
-    lambda_a = c_pair_from_lift(A, lifted_a, z_a).value
-    lambda_e = c_pair_from_lift(E, lifted_e, z_e).value
+    lambda_a = c_pair_from_lift(A, z_a).value
+    lambda_e = c_pair_from_lift(E, z_e).value
     norm_e2 = unfold_spectral_norm(E)
     zmin_diff = -held(z_neg_diff).value  # min(T) = -max(-T)
     zmax_diff = held(z_diff).value
@@ -168,9 +170,8 @@ def full_report(A, E, cfg=SolverConfig()):
     """
     if A.n != E.n:
         raise DimensionMismatch(f"dimension mismatch: A has n={A.n}, E has n={E.n}")
-    lifted_a, lifted_e = lift(A), lift(E)
-    problems = report_problems(lifted_a, lifted_e, lift(A + E))
-    return assemble_report(A, E, lifted_a, lifted_e, z_max_batch(problems, cfg))
+    problems = report_problems(lift(A), lift(E), lift(A + E))
+    return assemble_report(A, E, z_max_batch(problems, cfg))
 
 
 def check_nesting(r, slack=1e-8):

@@ -195,14 +195,14 @@ def run_experiment(materials, cfg=ExperimentConfig()):
         except CeigError as exc:
             failure = where, exc  # raised once the cells before it are assembled
             break
-        plan.append((mat, eps, trial, where, e, a_tilde, lifts))
+        plan.append((mat, eps, trial, where, e, a_tilde))
     solved = z_max_batch(problems, cfg.solver)
     rows = []
-    for i, (mat, eps, trial, where, e, a_tilde, lifts) in enumerate(plan):
+    for i, (mat, eps, trial, where, e, a_tilde) in enumerate(plan):
         z = solved[5 * i:5 * i + 5]
         try:
-            report = assemble_report(mat.tensor, e, lifts[0], lifts[1], z[:4])
-            true_lambda = c_pair_from_lift(a_tilde, lifts[2], z[4]).value
+            report = assemble_report(mat.tensor, e, z[:4])
+            true_lambda = c_pair_from_lift(a_tilde, z[4]).value
         except CeigError as exc:
             raise _in_cell(where, exc) from exc
         rows.append(_result_row(mat, eps, trial, report, true_lambda, where))

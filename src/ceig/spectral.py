@@ -4,19 +4,20 @@ C-eigenpairs of piezoelectric-type tensors.
 Two independent routes to the largest C-eigenvalue are provided:
 
 * ``c_max_via_lift``: the largest Z-eigenvalue of the symmetric
-  fourth-order companion is the square of the largest C-eigenvalue, and
-  the left vector is recovered as x = A y y / lambda (or a null-space
-  vector when lambda vanishes).
+  fourth-order companion is the square of the largest C-eigenvalue.
 * ``c_max_alternating``: block ascent on the trilinear form x A y y
   itself, never touching the fourth-order companion.
+
+Both recover x = A y y / lambda; the zero tensor, the only one with
+lambda = 0, takes x = y, so no null-space vector is ever computed.
 
 The Z-solver is shifted symmetric higher-order power iteration, batched
 over tensors and starts, with a convexity shift picked adaptively from a
 Gershgorin bound on the Hessian. Both routes run through one multi-start
 driver (dedupe, normalization, doubled-start retry, failure report), one
 winner rule and one bordered Newton polish, which pushes winning
-residuals down to machine level so the 1e-8 residual invariants hold
-with slack.
+residuals down to machine level so the residual cap (1e-8 times the
+largest entry) holds with slack.
 
 Brute-force spherical-grid oracles (n = 3 only) give answers the solvers
 are tested against; they share no code path with the iterative routes.
@@ -38,8 +39,7 @@ from .errors import (
 from .rng import SplitMix64
 from .tensors import lift
 
-_RESIDUAL_CAP = 1e-8  # absolute residual admitted for a returned eigenpair
-_ZERO_LAMBDA = 1e-10  # below this the x = Ayy/lambda division is abandoned
+_RESIDUAL_CAP = 1e-8  # residual admitted for a returned eigenpair, per unit of max entry
 _SHIFT_MARGIN = 1e-6  # convexity slack added on top of the Hessian bound
 # Start rows x n^2 in one batched power pass; caps its per-step arrays near
 # 100 KB. Seed-0 study on a 2-vCPU VM, median of 12 runs per budget, with
@@ -159,7 +159,6 @@ def _power_phase(t, pool, tol, max_iters):
     leaves the working arrays once all of its starts have converged.
     """
     k, (s, n) = t.shape[0], pool.shape
-    I, J, D = np.repeat(np.arange(n), n), np.tile(np.arange(n), n), np.arange(n) * (n + 1)
     tmats = t.reshape(k, n * n, n * n)
     lam_out = np.zeros((k, s))
     Y_out = np.empty((k, s, n))
@@ -179,7 +178,7 @@ def _power_phase(t, pool, tol, max_iters):
         Y_out[idx] = Y[done].transpose(0, 2, 1)
 
     for it in range(1, max_iters + 1):
-        t2 = tmats @ (Y[:, I] * Y[:, J])
+        t2 = tmats @ (Y[:, :, None] * Y[:, None]).reshape(-1, n * n, s)
         grad = (t2.reshape(-1, n, n, s) * Y[:, None]).sum(axis=2)
         lam_k = (Y * grad).sum(axis=1)
         lam[active] = lam_k[active]
@@ -201,7 +200,7 @@ def _power_phase(t, pool, tol, max_iters):
                     a[alive] for a in (Y, lam, iters, active, t2, grad, lam_k)
                 )
         # Convexity shift from a Gershgorin floor on the Hessian 12*Ty^2.
-        diag = t2[:, D]
+        diag = t2[:, :: n + 1]
         off = np.abs(t2).reshape(-1, n, n, s).sum(axis=2) - np.abs(diag)
         floor = 12.0 * (diag - off).min(axis=1)
         alpha = np.maximum(0.0, (_SHIFT_MARGIN - floor) / 4.0)
@@ -295,33 +294,29 @@ def _ranked(vals, mask):
 
 
 def _pick(vals, Y, iters, converged, polish):
-    """Winner rule shared by both routes: polish distinct candidate
-    starts and return the one with the largest polished value (ties to
-    the lowest start index) among those meeting the residual cap.
+    """Winner rule shared by both routes: polish the distinct starts of
+    the lead cluster and return the one with the largest polished value
+    (ties to the lowest start index) among those meeting the residual cap.
 
-    The leading cluster is the converged starts within 1e-6 (relative)
-    of the converged top, plus every unconverged start whose value lies
+    The lead cluster is the converged starts within 1e-6 (relative) of
+    the converged top, plus every unconverged start whose value lies
     above that band: a run cut short must not pass over a higher
-    critical point. It is polished first; the remaining converged starts
-    are revisited if it cannot meet the cap, unless such an unconverged
-    start exists, in which case there is no pair. ``polish(i)`` returns
-    (value, residual, make) for start i, where ``make(iterations)``
-    builds the eigenpair. Returns (pair or None, smallest residual
-    seen); at least one start must have converged.
+    critical point. Lower clusters are never tried, since they would
+    return a lower critical point as the largest; if no lead start meets
+    the cap there is no pair, and the caller retries or raises.
+    ``polish(i)`` returns (value, residual, make) for start i, where
+    ``make(iterations)`` builds the eigenpair. Returns (pair or None,
+    smallest polished residual); at least one start must have converged.
     """
     top = vals[converged].max()
     band = 1e-6 * max(1.0, abs(top))
-    above = ~converged & (vals > top + band)
-    lead = _ranked(vals, (converged & (vals >= top - band)) | above)
-    order = _ranked(vals, converged)
-    best_rn = np.inf
-    for group in (lead, order) if lead.size < order.size and not above.any() else (lead,):
-        polished = [(*polish(i), i) for i in _dedupe_candidates(vals, Y, group)]
-        polished.sort(key=lambda p: (-p[0], p[3]))
-        best_rn = min(best_rn, min(p[1] for p in polished))
-        for _, rn, make, i in polished:
-            if rn <= _RESIDUAL_CAP:
-                return make(int(iters[i])), best_rn
+    lead = _ranked(vals, (converged & (vals >= top - band)) | (~converged & (vals > top + band)))
+    polished = [(*polish(i), i) for i in _dedupe_candidates(vals, Y, lead)]
+    polished.sort(key=lambda p: (-p[0], p[3]))
+    best_rn = min(p[1] for p in polished)
+    for _, rn, make, i in polished:
+        if rn <= _RESIDUAL_CAP:
+            return make(int(iters[i])), best_rn
     return None, best_rn
 
 
@@ -454,35 +449,33 @@ def _c_residuals(a, ayy, value, x, y):
     return float(np.linalg.norm(rx)), float(np.linalg.norm(ry))
 
 
-def c_pair_from_lift(A, companion, z):
+def c_pair_from_lift(A, z):
     """Largest C-eigenpair of A from the top Z-pair `z` of its companion
     ``lift(A)``; `z` may be a held ``z_max_batch`` failure, raised here.
 
-    The companion's largest Z-value is lambda^2; x is recovered as
-    A y y / lambda, or for lambda vanishing against A's largest entry as
-    a unit left-null vector of M(y)_{ij} = sum_k a_ijk y_k (the
-    eigenvector of M M^T for its smallest eigenvalue).
+    The companion's largest Z-value is lambda^2 and x is recovered as
+    A y y / lambda (x = y for the zero tensor). Since x = +-e_i with
+    y = e_j or (e_j +- e_k)/sqrt(2) reaches every |a_ijk|, lambda is
+    never below the largest entry: a smaller value means the companion's
+    entries underflowed, and raises ``PropertyViolation``. Residuals are
+    capped relative to the largest entry, as in ``_pick``.
     """
     z = held(z)
-    mu = z.value
-    band = _RESIDUAL_CAP * max(1.0, float(np.abs(companion.entries).max()))
-    if mu < -band:
+    value = float(np.sqrt(max(z.value, 0.0)))
+    top = float(np.abs(A.entries).max())
+    if value < (1.0 - 1e-8) * top:
         raise PropertyViolation(
-            f"companion tensor returned Z-value {mu:.3e} far below zero"
+            f"largest C-eigenvalue {value:.3e} is below the largest entry magnitude {top:.3e}"
         )
-    value = float(np.sqrt(max(mu, 0.0)))
     y = z.y
     ayy = np.einsum("ijk,j,k->i", A.entries, y, y)
-    if value > _ZERO_LAMBDA * _entry_scale(A):
+    if value > 0:
         x = ayy / value
-        nx = np.linalg.norm(x)
-        if nx > 0:
-            x = x / nx
+        x = x / np.linalg.norm(x)
     else:
-        m = np.einsum("ijk,k->ij", A.entries, y)
-        x = np.linalg.eigh(m @ m.T)[1][:, 0]
+        x = y
     rx, ry = _c_residuals(A.entries, ayy, value, x, y)
-    if max(rx, ry) > _RESIDUAL_CAP * max(1.0, value):
+    if max(rx, ry) > _RESIDUAL_CAP * top:
         raise NoConvergence(
             "C-eigenpair residuals exceed tolerance", best_residual=max(rx, ry)
         )
@@ -492,8 +485,7 @@ def c_pair_from_lift(A, companion, z):
 def c_max_via_lift(A, cfg=SolverConfig()):
     """Largest C-eigenpair through the symmetric fourth-order companion
     (see ``c_pair_from_lift``)."""
-    companion = lift(A)
-    return c_pair_from_lift(A, companion, z_max(companion, cfg))
+    return c_pair_from_lift(A, z_max(lift(A), cfg))
 
 
 def _alternating_phase(a, pool, tol, max_iters):
@@ -509,7 +501,6 @@ def _alternating_phase(a, pool, tol, max_iters):
     starts never mix, as in ``_power_phase``.
     """
     k, (s, n) = a.shape[0], pool.shape
-    I, J = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
     amats = a.reshape(k, n, n * n)
     amats_t = amats.transpose(0, 2, 1)
     Y = np.broadcast_to(pool.T, (k, n, s)).copy()
@@ -520,7 +511,7 @@ def _alternating_phase(a, pool, tol, max_iters):
     iters = np.zeros((k, s), dtype=int)
     active = np.ones((k, s), dtype=bool)
     for it in range(1, max_iters + 1):
-        v = amats @ (Y[:, I] * Y[:, J])
+        v = amats @ (Y[:, :, None] * Y[:, None]).reshape(k, n * n, s)
         vn = np.linalg.norm(v, axis=1)
         ok = active & (vn > 1e-150)
         np.divide(v, vn[:, None], out=X, where=ok[:, None])
@@ -556,16 +547,12 @@ def _c_state(a, y):
 
 
 def _c_polish(a, y0, scale):
-    """Polish on the lift-free cubic map, then recompute x and the value
-    in closed form."""
+    """Polish on the lift-free cubic map, then recompute the value and
+    x = A y y / value in closed form (x = y for the zero tensor)."""
     _, y, _ = _newton_polish(y0, partial(_c_state, a))
     v = np.einsum("ijk,j,k->i", a, y, y)
     value = float(np.linalg.norm(v))
-    if value > _ZERO_LAMBDA:
-        x = v / value
-    else:
-        x = y0 / np.linalg.norm(y0)
-        value = 0.0
+    x = v / value if value > 0 else y
     rx, ry = _c_residuals(a, v, value, x, y)
     return value, max(rx, ry), partial(CEigenpair, value * scale, x, y, rx * scale, ry * scale)
 

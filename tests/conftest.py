@@ -14,6 +14,7 @@ from ceig import SplitMix64, make_piezo
 settings.register_profile(
     "ci",
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
     print_blob=True,
 )

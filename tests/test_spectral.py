@@ -4,10 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceig import (
     CEigenpair,
     NoConvergence,
+    NonFinite,
+    PropertyViolation,
     SolverConfig,
     SymTensor4,
     UnsupportedDimension,
@@ -15,6 +19,7 @@ from ceig import (
     ZEigenpair,
     c_max_alternating,
     c_max_via_lift,
+    full_report,
     grid_oracle_c,
     grid_oracle_z,
     lift,
@@ -200,11 +205,42 @@ def test_c_max_zero_tensor():
 
 
 def test_c_max_zero_branch_null_space():
-    # a tensor whose best y leaves a rank-deficient map x -> x A y still
-    # needs a unit x with x A y = 0; the zero tensor is the extreme case
+    # the zero tensor is the one tensor with lambda = 0; any unit x solves
+    # x A y = 0, and both routes take x = y
     a = make_piezo(2, np.zeros(8))
-    pair = c_max_via_lift(a, CFG)
-    np.testing.assert_allclose(xay_loops(a.entries, pair.x, pair.y), np.zeros(2), atol=1e-12)
+    for route in (c_max_via_lift, c_max_alternating):
+        pair = route(a, CFG)
+        np.testing.assert_allclose(xay_loops(a.entries, pair.x, pair.y), np.zeros(2), atol=1e-12)
+        np.testing.assert_array_equal(pair.x, pair.y)
+
+
+def test_companion_underflow_raises_instead_of_a_zero_lambda():
+    # lambda >= max|a_ijk|, but at 1e-170 the companion's entries underflow
+    # to zero and its top Z-value reads 0; at 1e160 they overflow
+    a = rand_piezo(5)
+    tiny = 1e-170 * a
+    top = f"{np.abs(tiny.entries).max():.3e}"
+    message = rf"largest C-eigenvalue 0\.000e\+00 .*largest entry magnitude {top}"
+    with pytest.raises(PropertyViolation, match=message):
+        c_max_via_lift(tiny, CFG)
+    with pytest.raises(PropertyViolation, match=message):
+        full_report(tiny, rand_piezo(6, scale=1e-3), CFG)
+    with pytest.raises(NonFinite):
+        c_max_via_lift(1e160 * a, CFG)
+
+
+@given(st.integers(1, 5), st.integers(0, 2 ** 32), st.floats(-6.0, 3.0))
+@settings(max_examples=60)
+def test_c_routes_reach_the_largest_entry_with_relative_residuals(n, seed, log_scale):
+    # x = +-e_i with y = e_j or (e_j +- e_k)/sqrt(2) reaches every |a_ijk|;
+    # at n = 1 lambda is |a_111|, which the lift route's sqrt of the
+    # companion value can miss by an ulp
+    a = rand_piezo(seed, n=n, scale=10.0 ** log_scale)
+    top = np.abs(a.entries).max()
+    for route in (c_max_via_lift, c_max_alternating):
+        pair = route(a, CFG)
+        assert pair.value >= top * (1.0 - 1e-15)
+        assert max(pair.residual_x, pair.residual_y) <= 1e-8 * top
 
 
 def test_c_pair_defining_equations():
@@ -445,6 +481,24 @@ def test_dedupe_non_transitive_chain():
         assert [int(i) for i in got] == dedupe_nested(lam, Y, order)
     assert spectral._dedupe_candidates(lam, Y, np.array([0, 1, 2])) == [0, 2]
     assert spectral._dedupe_candidates(lam, Y, np.array([1, 0, 2])) == [1]
+
+
+def test_pick_never_falls_back_to_a_lower_cluster():
+    # the lead cluster at 2 misses the residual cap while a lower converged
+    # start at 1 meets it: a lower critical point is not the largest, so
+    # there is no pair, and the smallest polished residual comes back
+    vals = np.array([2.0, 2.0, 1.0])
+    Y = np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+    residuals = [1e-6, 1e-7, 1e-12]
+    polished = []
+
+    def polish(i):
+        polished.append(int(i))
+        return vals[i], residuals[i], lambda iterations: (i, iterations)
+
+    got = spectral._pick(vals, Y, np.array([5, 6, 7]), np.ones(3, dtype=bool), polish)
+    assert got == (None, 1e-7)
+    assert sorted(polished) == [0, 1]
 
 
 def test_dedupe_matches_the_nested_candidate_loop():
