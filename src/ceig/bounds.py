@@ -19,7 +19,7 @@ The numeric suffixes match the column labels used in emitted tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DimensionMismatch,
@@ -31,7 +31,8 @@ from .errors import (
 from .spectral import SolverConfig, c_pair_from_lift, held, z_max_batch
 from .tensors import lift, unfold_spectral_norm
 
-_NEG_BAND = 1e-8  # numerical band inside which a negative radicand is clamped
+_NEG_BAND = 1e-8  # relative band inside which a negative radicand is clamped
+SLACK = 1e-8  # absolute slack of the containment and nesting checks
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,10 @@ def bound_spectral(lambda_a, norm_e2):
 def bound_quadratic(lambda_a, zmin_diff, zmax_diff):
     """Square-root interval from the companion-difference Z-extremes.
 
-    Radicands are clamped at zero only inside a -1e-8 numerical band; a
-    radicand genuinely below that signals inconsistent inputs and raises.
+    A radicand lambda_a^2 + shift is clamped at zero only inside a
+    numerical band of 1e-8 times max(1, lambda_a^2 + |shift|), the scale
+    of its rounding; a radicand below that signals inconsistent inputs
+    and raises.
     """
     lambda_a = float(lambda_a)
     zmin_diff, zmax_diff = float(zmin_diff), float(zmax_diff)
@@ -96,7 +99,7 @@ def bound_quadratic(lambda_a, zmin_diff, zmax_diff):
     endpoints = []
     for shift in (zmin_diff, zmax_diff):
         radicand = sq + shift
-        if radicand < -_NEG_BAND:
+        if radicand < -_NEG_BAND * max(1.0, sq + abs(shift)):
             raise RadicandNegative(
                 f"lambda_a^2 + {shift!r} = {radicand!r} is negative beyond tolerance"
             )
@@ -106,25 +109,24 @@ def bound_quadratic(lambda_a, zmin_diff, zmax_diff):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All scalars of one perturbation analysis plus the three intervals."""
+    """The five scalars of one perturbation analysis and the three
+    intervals built from them by ``bound_additive``, ``bound_spectral``
+    and ``bound_quadratic``, which also validate the scalars."""
 
     lambda_a: float
     lambda_e: float
     norm_e2: float
     zmin_diff: float
     zmax_diff: float
-    interval_21: Interval
-    interval_24: Interval
-    interval_25: Interval
+    interval_21: Interval = field(init=False)
+    interval_24: Interval = field(init=False)
+    interval_25: Interval = field(init=False)
 
     def __post_init__(self):
-        _require_nonneg(
-            lambda_a=self.lambda_a, lambda_e=self.lambda_e, norm_e2=self.norm_e2
-        )
-        if self.lambda_a ** 2 + self.zmin_diff < -_NEG_BAND:
-            raise RadicandNegative(
-                "lambda_a^2 + zmin_diff is negative beyond tolerance"
-            )
+        a = self.lambda_a
+        object.__setattr__(self, "interval_21", bound_additive(a, self.lambda_e))
+        object.__setattr__(self, "interval_24", bound_spectral(a, self.norm_e2))
+        object.__setattr__(self, "interval_25", bound_quadratic(a, self.zmin_diff, self.zmax_diff))
 
 
 def report_problems(lifted_a, lifted_e, lifted_sum):
@@ -136,12 +138,14 @@ def report_problems(lifted_a, lifted_e, lifted_sum):
 
 
 def assemble_report(A, E, solved):
-    """BoundReport from the ``z_max_batch`` entries of ``report_problems``.
+    """BoundReport of the five scalars read off the ``z_max_batch``
+    entries of ``report_problems``; the report builds the intervals.
 
     lambda(A) and lambda(E) come from ``c_pair_from_lift``, so each is
     checked against its tensor's largest entry. Held solver failures and
     those checks raise in the order a sequential solve would meet them:
-    lambda(A), lambda(E), then the difference extremes.
+    lambda(A), lambda(E), then the difference extremes, and the report's
+    own checks last.
     """
     z_a, z_e, z_neg_diff, z_diff = solved
     lambda_a = c_pair_from_lift(A, z_a).value
@@ -149,16 +153,7 @@ def assemble_report(A, E, solved):
     norm_e2 = unfold_spectral_norm(E)
     zmin_diff = -held(z_neg_diff).value  # min(T) = -max(-T)
     zmax_diff = held(z_diff).value
-    return BoundReport(
-        lambda_a=lambda_a,
-        lambda_e=lambda_e,
-        norm_e2=norm_e2,
-        zmin_diff=zmin_diff,
-        zmax_diff=zmax_diff,
-        interval_21=bound_additive(lambda_a, lambda_e),
-        interval_24=bound_spectral(lambda_a, norm_e2),
-        interval_25=bound_quadratic(lambda_a, zmin_diff, zmax_diff),
-    )
+    return BoundReport(lambda_a, lambda_e, norm_e2, zmin_diff, zmax_diff)
 
 
 def full_report(A, E, cfg=SolverConfig()):
@@ -174,7 +169,7 @@ def full_report(A, E, cfg=SolverConfig()):
     return assemble_report(A, E, z_max_batch(problems, cfg))
 
 
-def check_nesting(r, slack=1e-8):
+def check_nesting(r, slack=SLACK):
     """True iff interval_25 is inside interval_21 is inside interval_24."""
     return r.interval_25.nests_in(r.interval_21, slack) and r.interval_21.nests_in(
         r.interval_24, slack

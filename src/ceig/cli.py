@@ -8,7 +8,8 @@ Subcommands::
     ceig oracle <tensor-file> --resolution R
 
 Exit codes: 0 success, 2 parse or validation error, 3 solver
-non-convergence, 4 violated containment/nesting property.
+non-convergence, 4 violated property: containment, nesting, or a largest
+C-eigenvalue below the tensor's largest entry.
 """
 
 from __future__ import annotations
@@ -84,18 +85,15 @@ def _cmd_bounds(args):
 
 def _parse_eps(text):
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValidationError(f"could not parse epsilon list {text!r}") from None
-    if not values:
-        raise ValidationError("empty epsilon list")
-    return values
 
 
 def _cmd_experiment(args):
     materials = load_materials(args.materials)
     cfg = ExperimentConfig(
-        epsilons=_parse_eps(args.eps) if args.eps else DEFAULT_EPSILONS,
+        epsilons=DEFAULT_EPSILONS if args.eps is None else _parse_eps(args.eps),
         trials=args.trials,
         seed=args.seed,
         solver=_solver_config(args),

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: validation and parse problems exit
 with 2, solver non-convergence with 3, and violated runtime guarantees
-(interval containment or nesting) with 4.
+(interval containment or nesting, or a largest C-eigenvalue below the
+tensor's largest entry) with 4.
 """
 
 

@@ -15,18 +15,16 @@ tensor once, in batched passes over all of its cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import assemble_report, check_nesting, report_problems
+from .bounds import SLACK, assemble_report, check_nesting, report_problems
 from .errors import CeigError, PropertyViolation, ValidationError
 from .rng import SplitMix64, derive_seed
 from .spectral import SolverConfig, c_pair_from_lift, z_max_batch
 from .tensors import PiezoTensor, lift, make_piezo, parse_tensor_text
-
-_SLACK = 1e-8  # containment / nesting slack carried through from bounds
 
 DEFAULT_EPSILONS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -54,8 +52,8 @@ class ExperimentConfig:
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValidationError("need at least one epsilon")
-        if any(e < 0 for e in eps):
-            raise ValidationError(f"epsilons must be nonnegative, got {eps}")
+        if not all(np.isfinite(e) and e >= 0 for e in eps):
+            raise ValidationError(f"epsilons must be finite and nonnegative, got {eps}")
         object.__setattr__(self, "epsilons", eps)
         if not isinstance(self.trials, int) or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
@@ -119,35 +117,23 @@ def _cell_perturbation(material, m_idx, epsilon, e_idx, trial, cfg):
 
 
 def _result_row(material, epsilon, trial, report, true_lambda, where):
-    contained = all(
-        iv.contains(true_lambda, _SLACK)
-        for iv in (report.interval_21, report.interval_24, report.interval_25)
-    )
-    nested = check_nesting(report, _SLACK)
+    intervals = report.interval_21, report.interval_24, report.interval_25
+    contained = all(iv.contains(true_lambda, SLACK) for iv in intervals)
+    nested = check_nesting(report)
     if not (contained and nested):
         raise PropertyViolation(
             f"{where}: containment={contained} nesting={nested}, "
             f"true={true_lambda!r}, report={report!r}"
         )
-    return ResultRow(
-        material=material.name,
-        epsilon=epsilon,
-        trial=trial,
-        true_lambda=true_lambda,
-        lo21=report.interval_21.lo,
-        hi21=report.interval_21.hi,
-        lo24=report.interval_24.lo,
-        hi24=report.interval_24.hi,
-        lo25=report.interval_25.lo,
-        hi25=report.interval_25.hi,
-        nested=nested,
-        contained=contained,
-    )
+    ends = (end for iv in intervals for end in (iv.lo, iv.hi))
+    return ResultRow(material.name, epsilon, trial, true_lambda, *ends, nested, contained)
 
 
 def _in_cell(where, exc):
-    """`exc` re-made with the cell's coordinates in front of its message."""
-    return type(exc)(f"{where}: {exc}")
+    """`exc` itself, its message prefixed in place with the cell's
+    coordinates, so its type and attributes (``best_residual``) stay."""
+    exc.args = (f"{where}: {exc}",)
+    return exc
 
 
 def run_experiment(materials, cfg=ExperimentConfig()):
@@ -204,36 +190,32 @@ def run_experiment(materials, cfg=ExperimentConfig()):
             report = assemble_report(mat.tensor, e, z[:4])
             true_lambda = c_pair_from_lift(a_tilde, z[4]).value
         except CeigError as exc:
-            raise _in_cell(where, exc) from exc
+            raise _in_cell(where, exc)
         rows.append(_result_row(mat, eps, trial, report, true_lambda, where))
     if failure:
-        raise _in_cell(*failure) from failure[1]
+        raise _in_cell(*failure)
     return rows
 
 
-CSV_HEADER = "material,epsilon,trial,true_lambda,lo21,hi21,lo24,hi24,lo25,hi25,nested,contained"
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
+CSV_HEADER = ",".join(_COLUMNS)
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.8f}"
+    return str(value)
 
 
 def emit_csv(rows, path):
-    """Write rows as CSV with 8-decimal values and LF line endings."""
+    """Write rows as CSV, one column per ``ResultRow`` field: floats with
+    8 decimals, booleans as true/false, LF line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         out.write(CSV_HEADER + "\n")
         for r in rows:
-            fields = [
-                r.material,
-                f"{r.epsilon:.8f}",
-                str(r.trial),
-                f"{r.true_lambda:.8f}",
-                f"{r.lo21:.8f}",
-                f"{r.hi21:.8f}",
-                f"{r.lo24:.8f}",
-                f"{r.hi24:.8f}",
-                f"{r.lo25:.8f}",
-                f"{r.hi25:.8f}",
-                "true" if r.nested else "false",
-                "true" if r.contained else "false",
-            ]
-            out.write(",".join(fields) + "\n")
+            out.write(",".join(_csv_cell(getattr(r, c)) for c in _COLUMNS) + "\n")
 
 
 def emit_markdown(rows, path):

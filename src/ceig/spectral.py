@@ -425,8 +425,10 @@ def z_max_batch(tensors, cfg=SolverConfig()):
 def z_max(T, cfg=SolverConfig()):
     """Largest Z-eigenvalue of a symmetric fourth-order tensor.
 
-    Multi-start shifted power iteration; the winner is the converged
-    start with the largest value, ties broken by lowest start index. A
+    Multi-start shifted power iteration; the winner comes from
+    ``_pick``'s lead-cluster rule: the largest polished value among the
+    starts near the converged top (and any unconverged start above it)
+    that meet the residual cap, ties broken by lowest start index. A
     doubled-start pass is attempted once before giving up.
     """
     return held(z_max_batch([T], cfg)[0])

@@ -248,6 +248,8 @@ def parse_tensor_text(text, path="<string>"):
             value = float(fields[3])
         except ValueError:
             raise ParseError(path, line_no, f"bad value {fields[3]!r}") from None
+        if not np.isfinite(value):
+            raise ParseError(path, line_no, f"non-finite value {fields[3]!r}")
         if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
             raise ParseError(path, line_no, f"index out of range for n={n}")
         if (i, j, k) in seen:

@@ -1,11 +1,12 @@
 """Interval arithmetic, the three perturbation bounds, and their nesting."""
 
-import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ceig import (
+    BoundReport,
     DimensionMismatch,
     Interval,
     NegativeInput,
@@ -179,16 +180,7 @@ def test_full_report_dimension_mismatch():
 
 
 def test_report_invariants_reject_bad_scalars():
-    iv = Interval(0.0, 1.0)
-    kw = dict(
-        lambda_e=0.0,
-        norm_e2=0.0,
-        zmin_diff=0.0,
-        zmax_diff=0.0,
-        interval_21=iv,
-        interval_24=iv,
-        interval_25=iv,
-    )
+    kw = dict(lambda_e=0.0, norm_e2=0.0, zmin_diff=0.0, zmax_diff=0.0)
     with pytest.raises(NegativeInput):
         import ceig
 
@@ -197,6 +189,29 @@ def test_report_invariants_reject_bad_scalars():
         import ceig
 
         ceig.BoundReport(lambda_a=1.0, **{**kw, "zmin_diff": -1.5})
+
+
+def test_report_rejects_inverted_difference_extremes():
+    with pytest.raises(ValidationError, match="exceeds zmax_diff"):
+        BoundReport(1.0, 0.0, 0.0, zmin_diff=0.5, zmax_diff=0.2)
+    # a rounding-level inversion is forgiven, as in bound_quadratic
+    assert BoundReport(2.0, 0.0, 0.0, 1e-13, 0.0).interval_25 == Interval(2.0, 2.0)
+
+
+def test_report_intervals_follow_from_its_scalars():
+    for s in range(4):
+        r = full_report(rand_piezo(130 + s), seeded_perturbation(140 + s, 10.0 ** -s), CFG)
+        assert BoundReport(r.lambda_a, r.lambda_e, r.norm_e2, r.zmin_diff, r.zmax_diff) == r
+
+
+@pytest.mark.parametrize("seed, scale", [(2, 1e6), (5, 1e6), (4, 1e10)])
+def test_full_report_of_cancelling_perturbation_at_large_scale(seed, scale):
+    # A + E = 0: the (2.5) radicand lambda_a^2 + zmin_diff is pure rounding
+    # of size ~1e-16 lambda_a^2, far beyond an absolute band at this scale
+    a = rand_piezo(seed, scale=scale)
+    r = full_report(a, -a)
+    assert r.interval_25.lo == 0.0
+    assert r.interval_21.contains(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +235,9 @@ def test_nesting_negative_control():
     a = rand_piezo(90)
     r = full_report(a, seeded_perturbation(91, 0.1), CFG)
     assert check_nesting(r)
-    tampered = dataclasses.replace(
-        r,
+    tampered = SimpleNamespace(
+        interval_21=r.interval_21,
+        interval_24=r.interval_24,
         interval_25=Interval(r.interval_25.lo, r.interval_21.hi + 1e-5),
     )
     assert not check_nesting(tampered)

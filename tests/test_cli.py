@@ -154,6 +154,15 @@ def test_experiment_bad_eps_list(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_experiment_empty_eps_list(tmp_path, capsys):
+    d = write_materials(tmp_path)
+    csv_path = tmp_path / "x.csv"
+    rc = main(["experiment", "--materials", str(d), "--eps", "", "--csv", str(csv_path)])
+    assert rc == 2
+    assert "need at least one epsilon" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
 def test_experiment_empty_materials_dir(tmp_path, capsys):
     d = tmp_path / "empty"
     d.mkdir()

@@ -146,6 +146,12 @@ def test_experiment_config_validation():
     assert cfg.epsilons == (0.0, 1e-3)
 
 
+def test_experiment_config_rejects_non_finite_epsilons():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            ExperimentConfig(epsilons=(bad,))
+
+
 def test_default_epsilons_match_protocol():
     assert ExperimentConfig().epsilons == (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -202,6 +208,19 @@ def test_run_experiment_raises_for_first_failing_cell():
     with pytest.raises(NoConvergence, match=r"^material 'rough', epsilon 0, trial 0: "):
         run_experiment(mats, cfg)
     assert run_experiment(mats[:1], cfg)[0].nested
+
+
+def test_failing_cell_keeps_the_error_detail():
+    mats = [MaterialRecord("rough", rand_piezo(9))]
+    cfg = ExperimentConfig(
+        epsilons=(0.0,), solver=SolverConfig(starts=4, tol=1e-15, max_iters=10)
+    )
+    with pytest.raises(NoConvergence) as info:
+        run_experiment(mats, cfg)
+    best = info.value.best_residual
+    assert best is not None
+    assert str(info.value).startswith("material 'rough', epsilon 0, trial 0: ")
+    assert f"{best:.3e}" in str(info.value)
 
 
 def test_full_materials_run_all_rows_clean(materials_dir):

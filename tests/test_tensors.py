@@ -408,6 +408,12 @@ def test_parse_errors():
         parse_tensor_text("n 2 strict\n1 1 2 1.0\n", path="f")
 
 
+def test_parse_rejects_non_finite_value_at_its_line():
+    for token in ("nan", "inf", "-inf", "1e400"):
+        with pytest.raises(ParseError, match=rf"^f:3: non-finite value '{token}'$"):
+            parse_tensor_text(f"n 2\n1 1 1 1.0\n1 2 2 {token}\n", path="f")
+
+
 def test_format_parse_round_trip():
     a = rand_piezo(77, n=3)
     text = format_tensor_text(a, name="roundtrip")
