@@ -41,11 +41,12 @@ from .tensors import lift
 
 _RESIDUAL_CAP = 1e-8  # residual admitted for a returned eigenpair, per unit of max entry
 _SHIFT_MARGIN = 1e-6  # convexity slack added on top of the Hessian bound
-# Start rows x n^2 in one batched power pass; caps its per-step arrays near
-# 100 KB. Seed-0 study on a 2-vCPU VM, median of 12 runs per budget, with
-# peak RSS of the process: 6k 0.83 s / 32.0 MB, 12k 0.62 s / 32.6 MB,
-# 24k 0.55 s / 33.7 MB, 48k 0.50 s / 35.5 MB. Each doubling past 12k
-# buys its time with over 3 % more peak memory.
+# Start rows x n^2 live at once in a queued power pass; caps its per-step
+# arrays near 100 KB. Seed-0 study on a 2-vCPU VM, median of 12 runs per
+# budget in each of two processes, with peak RSS of the process: 6k
+# 0.32-0.34 s / 31.8 MB, 12k 0.30-0.32 s / 32.0 MB, 24k 0.39-0.40 s /
+# 32.4 MB, 48k 0.39-0.40 s / 33.4 MB. Past 12k wider steps cost more
+# than the steps they save.
 _BATCH_BUDGET = 12 * 1024
 
 
@@ -141,78 +142,118 @@ def _start_pool(seed, starts, n):
     return pool
 
 
+def _queue(mats, pool, max_iters, step, blocks):
+    """Run every start of `pool` on a stack of same-dimension tensors as
+    one refilling queue; returns (vals, Y, iters, converged) with a
+    leading tensor axis and Y as (k, s, n).
+
+    At most ``_BATCH_BUDGET // (s n^2)`` tensors are live at once. A
+    tensor retires once all of its starts have converged or it has run
+    `max_iters` steps of its own, and the next tensor of the stack takes
+    its slot; `iters` counts from the step its tensor was admitted at
+    (`max_iters` for a start that had not converged). A live slot holds
+    its tensor's matrix, values (inf until the first step), active mask
+    and (n, s) blocks, Y first, each seeded from `blocks`;
+    ``step(mats, vals, active, *blocks)`` advances every live start one
+    step in place, clears the starts that converged from `active` and
+    returns them. Starts never mix, so each (tensor, start) gets the bits
+    it would get alone.
+    """
+    k, (s, n) = mats.shape[0], pool.shape
+    vals_out = np.empty((k, s))
+    Y_out = np.empty((k, s, n))
+    iters_out = np.empty((k, s), dtype=int)
+    conv_out = np.empty((k, s), dtype=bool)
+    m = min(k, max(1, _BATCH_BUDGET // (s * n * n)))
+    # per slot: matrix, values, active mask, step of convergence, step of
+    # admission, stack index, then the blocks
+    live = [np.empty((m,) + mats.shape[1:]), np.empty((m, s)), np.empty((m, s), dtype=bool),
+            np.empty((m, s), dtype=int), np.empty(m, dtype=int), np.empty(m, dtype=int),
+            *(np.empty((m, n, s)) for _ in blocks)]
+    queued = 0
+
+    def admit(slots, it):
+        nonlocal queued
+        lo, queued = queued, queued + slots.size
+        for a, v in zip(live, (mats[lo:queued], np.inf, True, 0, it, np.arange(lo, queued), *blocks)):
+            a[slots] = v
+
+    def retire(done, it):
+        nonlocal live
+        _, vals, active, at, born, idx, Y = live[:7]
+        ids = idx[done]
+        vals_out[ids] = vals[done]
+        Y_out[ids] = Y[done].transpose(0, 2, 1)
+        iters_out[ids] = np.where(active[done], max_iters, at[done] - born[done, None])
+        conv_out[ids] = ~active[done]
+        slots = np.flatnonzero(done)
+        fill = slots[:k - queued]
+        admit(fill, it)
+        if fill.size < slots.size:  # the queue ran dry: drop the empty slots
+            keep = ~done
+            keep[fill] = True
+            live = [a[keep] for a in live]
+        born = live[4]
+        return int(born.min()) if born.size else it
+
+    admit(np.arange(m), 0)
+    oldest, it = 0, 0
+    while live[0].shape[0]:
+        it += 1
+        live_mats, vals, active, at, born, _, *state = live
+        newly = step(live_mats, vals, active, *state)
+        capped = it - oldest >= max_iters
+        if capped or newly.any():
+            at[newly] = it
+            done = ~active.any(axis=1)
+            if capped:
+                done |= born == oldest
+            if done.any():
+                oldest = retire(done, it)
+    return vals_out, Y_out, iters_out, conv_out
+
+
+def _norms(v):
+    """2-norms over axis 1: np.linalg.norm's own expression for real input."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def _power_phase(t, pool, tol, max_iters):
-    """Batched shifted power iteration on the quartic forms of a stack of
-    tensors, every start of `pool` on every tensor.
+    """Shifted power iteration on the quartic forms of a stack of tensors,
+    every start of `pool` on every tensor, run through ``_queue``.
 
     `t` has shape (k, n, n, n, n); each tensor is iterated flattened to
     n^2 x n^2 (valid by full symmetry). The iterates live in a
     (tensor, coordinate, start) = (k, n, s) layout: the pair products
     y_i y_j of all starts form an (n^2, s) block per tensor, so T y^2 is
     one matrix product per tensor and every other step reduces over the
-    coordinate axis with the starts contiguous. Returns (lam, Y, iters,
-    converged) with a leading tensor axis and Y as (k, s, n); `iters` of
-    an unconverged start is `max_iters`. A start is converged when its
-    Rayleigh value stalls within `tol` or its eigen-residual is already
-    below tol * scale. The iterates of different (tensor, start) pairs
-    never mix, so each tensor gets the bits it would get alone; a tensor
-    leaves the working arrays once all of its starts have converged.
+    coordinate axis with the starts contiguous. A start is converged when
+    its Rayleigh value stalls within `tol` or its eigen-residual is
+    already below tol * scale.
     """
     k, (s, n) = t.shape[0], pool.shape
-    tmats = t.reshape(k, n * n, n * n)
-    lam_out = np.zeros((k, s))
-    Y_out = np.empty((k, s, n))
-    iters_out = np.zeros((k, s), dtype=int)
-    active_out = np.ones((k, s), dtype=bool)
-    live = np.arange(k)
-    Y = np.broadcast_to(pool.T, (k, n, s)).copy()
-    lam_prev = np.full((k, s), np.inf)
-    lam = np.zeros((k, s))
-    iters = np.zeros((k, s), dtype=int)
-    active = np.ones((k, s), dtype=bool)
 
-    def retire(done):
-        idx = live[done]
-        for out, a in ((lam_out, lam), (iters_out, iters), (active_out, active)):
-            out[idx] = a[done]
-        Y_out[idx] = Y[done].transpose(0, 2, 1)
-
-    for it in range(1, max_iters + 1):
+    def step(tmats, lam, active, Y):
         t2 = tmats @ (Y[:, :, None] * Y[:, None]).reshape(-1, n * n, s)
         grad = (t2.reshape(-1, n, n, s) * Y[:, None]).sum(axis=2)
         lam_k = (Y * grad).sum(axis=1)
-        lam[active] = lam_k[active]
-        resid = np.linalg.norm(grad - lam_k[:, None] * Y, axis=1)
+        resid = _norms(grad - lam_k[:, None] * Y)
         scale = np.maximum(1.0, np.abs(lam_k))
-        newly = active & (
-            (np.abs(lam_k - lam_prev) <= tol) | (resid <= tol * scale)
-        )
-        if newly.any():
-            iters[newly] = it
-            active &= ~newly
-            alive = active.any(axis=1)
-            if not alive.all():
-                retire(~alive)
-                if not alive.any():
-                    break
-                live, tmats = live[alive], tmats[alive]
-                Y, lam, iters, active, t2, grad, lam_k = (
-                    a[alive] for a in (Y, lam, iters, active, t2, grad, lam_k)
-                )
+        # an active start's lam is still its value of the previous step
+        newly = active & ((np.abs(lam_k - lam) <= tol) | (resid <= tol * scale))
+        np.copyto(lam, lam_k, where=active)
+        active ^= newly
         # Convexity shift from a Gershgorin floor on the Hessian 12*Ty^2.
         diag = t2[:, :: n + 1]
         off = np.abs(t2).reshape(-1, n, n, s).sum(axis=2) - np.abs(diag)
         floor = 12.0 * (diag - off).min(axis=1)
         alpha = np.maximum(0.0, (_SHIFT_MARGIN - floor) / 4.0)
         w = grad + alpha[:, None] * Y
-        wn = np.linalg.norm(w, axis=1)
-        step = active & (wn > 1e-150)
-        np.divide(w, wn[:, None], out=Y, where=step[:, None])
-        lam_prev = lam_k
-    else:  # max_iters ran out with starts still active
-        iters[active] = max_iters
-        retire(np.ones(live.size, dtype=bool))
-    return lam_out, Y_out, iters_out, ~active_out
+        wn = _norms(w)
+        np.divide(w, wn[:, None], out=Y, where=(active & (wn > 1e-150))[:, None])
+        return newly
+
+    return _queue(t.reshape(k, n * n, n * n), pool, max_iters, step, [pool.T])
 
 
 def _entry_scale(T):
@@ -320,18 +361,6 @@ def _pick(vals, Y, iters, converged, polish):
     return None, best_rn
 
 
-def _batches(indices, tensors, starts):
-    """Same-dimension groups of `indices` whose start rows x n^2 fit the
-    batch budget (a tensor too large for it runs alone)."""
-    by_n = {}
-    for i in indices:
-        by_n.setdefault(tensors[i].n, []).append(i)
-    for n, group in by_n.items():
-        size = max(1, _BATCH_BUDGET // ((starts + n) * n * n))
-        for lo in range(0, len(group), size):
-            yield n, group[lo:lo + size]
-
-
 def _multistart(tensors, phase, polish, stuck, failure, cfg):
     """Multi-start driver of both routes; one entry per tensor: its pair,
     or a held ``NoConvergence`` with message `failure`.
@@ -345,31 +374,36 @@ def _multistart(tensors, phase, polish, stuck, failure, cfg):
     returns (vals, Y, iters, converged) with a leading tensor axis; the
     winner is picked by ``_pick`` through ``polish(t, y, scale)``, which
     builds its pair at the original scale; ``stuck(t, vals, Y)`` is the
-    best residual of a tensor none of whose starts converged. Tensors
-    without a pair get one doubled-start pass; the failure carries no
-    residual if neither pass saw one.
+    best residual of a tensor none of whose starts converged. Each pass
+    runs every same-dimension group through one ``phase`` call, a
+    ``_queue`` over the group. Tensors without a pair get one more queued
+    pass with doubled starts; the failure carries no residual if neither
+    pass saw one.
     """
     distinct = {}
     for T in tensors:
         distinct.setdefault(T.entries.tobytes(), T)
     unique = list(distinct.values())
     scales = [_entry_scale(T) for T in unique]
-    normed = [T.entries / scale for T, scale in zip(unique, scales)]
     pairs = [None] * len(unique)
     best = [np.inf] * len(unique)
     todo = range(len(unique))
     for starts in (cfg.starts, 2 * cfg.starts):
         # the doubled-start pass only revisits tensors that failed
-        for n, batch in _batches(todo, unique, starts):
+        by_n = {}
+        for i in todo:
+            by_n.setdefault(unique[i].n, []).append(i)
+        for n, group in by_n.items():
+            stack = np.stack([unique[i].entries for i in group])
+            for t, i in zip(stack, group):
+                t /= scales[i]
             pool = _start_pool(cfg.seed, starts, n)
-            stack = np.stack([normed[i] for i in batch])
-            for i, vals, Y, iters, converged in zip(
-                batch, *phase(stack, pool, cfg.tol, cfg.max_iters)
+            for i, t, vals, Y, iters, converged in zip(
+                group, stack, *phase(stack, pool, cfg.tol, cfg.max_iters)
             ):
-                t, scale = normed[i], scales[i]
                 if converged.any():
                     pairs[i], rn = _pick(
-                        vals, Y, iters, converged, lambda j: polish(t, Y[j], scale)
+                        vals, Y, iters, converged, lambda j: polish(t, Y[j], scales[i])
                     )
                 else:
                     rn = stuck(t, vals, Y)
@@ -414,8 +448,10 @@ def z_max_batch(tensors, cfg=SolverConfig()):
     ``NoConvergence`` that ``z_max`` would raise for it, held rather than
     raised so callers can attribute it. Tensors with equal entries are
     solved once, and each result is bit-identical to solving its tensor
-    alone: the power phase runs over (tensor, start) rows that never
-    mix. See ``z_max`` for the method.
+    alone: the power phase is one queue over the tensors of each
+    dimension whose (tensor, start) rows never mix, and a tensor counts
+    its ``iterations`` from the step it entered the queue. See ``z_max``
+    for the method.
     """
     return _multistart(
         tensors, _power_phase, _z_polish, _z_stuck, "no start reached the residual target", cfg
@@ -491,49 +527,36 @@ def c_max_via_lift(A, cfg=SolverConfig()):
 
 
 def _alternating_phase(a, pool, tol, max_iters):
-    """Batched block ascent on x A y y over a (k, n, n, n) stack of
-    tensors, every start of `pool` on every tensor.
+    """Block ascent on x A y y over a (k, n, n, n) stack of tensors, every
+    start of `pool` on every tensor, run through ``_queue``.
 
     x-update is the closed-form optimum for fixed y; y-update is one
     power step on N(x) shifted by its Frobenius norm, which keeps the
     objective nondecreasing. The iterates live in the (k, n, s) layout
     of ``_power_phase``, so A y y and N(x) are one matrix product per
-    tensor. Returns (f, Y, iters, converged) with a leading tensor axis
-    and Y as (k, s, n); `iters` of an unconverged start is `max_iters`;
-    starts never mix, as in ``_power_phase``.
+    tensor; every x starts at e_1. A start is converged when its
+    objective stalls within `tol`.
     """
     k, (s, n) = a.shape[0], pool.shape
-    amats = a.reshape(k, n, n * n)
-    amats_t = amats.transpose(0, 2, 1)
-    Y = np.broadcast_to(pool.T, (k, n, s)).copy()
-    X = np.zeros((k, n, s))
-    X[:, 0] = 1.0
-    f_prev = np.full((k, s), -np.inf)
-    f = np.zeros((k, s))
-    iters = np.zeros((k, s), dtype=int)
-    active = np.ones((k, s), dtype=bool)
-    for it in range(1, max_iters + 1):
-        v = amats @ (Y[:, :, None] * Y[:, None]).reshape(k, n * n, s)
-        vn = np.linalg.norm(v, axis=1)
-        ok = active & (vn > 1e-150)
-        np.divide(v, vn[:, None], out=X, where=ok[:, None])
-        nb = amats_t @ X
-        frob = np.linalg.norm(nb, axis=1)
-        nb = nb.reshape(k, n, n, s)
+
+    def step(amats, f, active, Y, X):
+        v = amats @ (Y[:, :, None] * Y[:, None]).reshape(-1, n * n, s)
+        vn = _norms(v)
+        np.divide(v, vn[:, None], out=X, where=(active & (vn > 1e-150))[:, None])
+        nb = amats.transpose(0, 2, 1) @ X
+        frob = _norms(nb)
+        nb = nb.reshape(-1, n, n, s)
         w = (nb * Y[:, None]).sum(axis=2) + frob[:, None] * Y
-        wn = np.linalg.norm(w, axis=1)
-        step = active & (wn > 1e-150)
-        np.divide(w, wn[:, None], out=Y, where=step[:, None])
+        wn = _norms(w)
+        np.divide(w, wn[:, None], out=Y, where=(active & (wn > 1e-150))[:, None])
         f_k = ((nb * Y[:, None]).sum(axis=2) * Y).sum(axis=1)
-        f[active] = f_k[active]
-        newly = active & (np.abs(f_k - f_prev) <= tol)
-        iters[newly] = it
-        active &= ~newly
-        if not active.any():
-            break
-        f_prev = f_k
-    iters[active] = max_iters
-    return f, Y.transpose(0, 2, 1).copy(), iters, ~active
+        # an active start's f is still its value of the previous step
+        newly = active & (np.abs(f_k - f) <= tol)
+        np.copyto(f, f_k, where=active)
+        active ^= newly
+        return newly
+
+    return _queue(a.reshape(k, n, n * n), pool, max_iters, step, [pool.T, np.eye(n)[:, :1]])
 
 
 def _c_state(a, y):

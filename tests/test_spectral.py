@@ -1,5 +1,6 @@
 """Solver tests: hand cases, grid-oracle agreement, determinism, failure paths."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -390,7 +391,8 @@ def test_doubled_start_retry_matches_a_doubled_solve(monkeypatch, route):
 
 
 def mixed_batch(materials_dir):
-    """n = 3 tensors of very different kinds and scales, one repeated."""
+    """Tensors of very different kinds and scales, one repeated; n = 3
+    but for one n = 2 and one n = 5 tensor."""
     a = load_material(materials_dir / "08_banio3.txt").tensor
     e = gen_perturbation(3, 1e-5, SplitMix64(11))
     diff = lift(a + e) - lift(a)
@@ -399,47 +401,71 @@ def mixed_batch(materials_dir):
         lift(load_material(materials_dir / "01_vfesb.txt").tensor),
         lift(a),
         diff,
+        lift(rand_piezo(78, n=2, scale=1e-3)),
         -diff,
         SymTensor4(3, np.zeros((3,) * 4)),
         SymTensor4(3, lift(r).entries * 1e-8),
+        rand_sym4(79, n=5),
         SymTensor4(3, rand_sym4(5).entries * 1e3),
         lift(a),
     ]
 
 
+def mixed_piezo_batch(materials_dir):
+    """Piezoelectric-type tensors of n = 2, 3 and 5, one repeated."""
+    a = load_material(materials_dir / "08_banio3.txt").tensor
+    return [
+        load_material(materials_dir / "01_vfesb.txt").tensor,
+        a,
+        rand_piezo(80, n=2, scale=1e-3),
+        make_piezo(3, np.zeros(27), mode="auto_symmetrize"),
+        a + gen_perturbation(3, 1e-5, SplitMix64(11)),
+        rand_piezo(81, n=5, scale=1e2),
+        rand_piezo(77),
+        a,
+    ]
+
+
 def assert_same_result(got, want):
+    assert type(got) is type(want)
     if isinstance(want, NoConvergence):
-        assert isinstance(got, NoConvergence)
+        assert str(got) == str(want)
         assert got.best_residual == want.best_residual
         return
-    assert isinstance(got, ZEigenpair)
-    assert got.value == want.value
-    assert got.y.tobytes() == want.y.tobytes()
-    assert got.residual == want.residual
-    assert got.iterations == want.iterations
+    for f in dataclasses.fields(want):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert g.tobytes() == w.tobytes() if isinstance(w, np.ndarray) else g == w, f.name
 
 
-def solve_alone(t, cfg):
+def solve_alone(route, t, cfg):
     try:
-        return z_max(t, cfg)
+        return route(t, cfg)
     except NoConvergence as exc:
         return exc
 
 
-@pytest.mark.parametrize("budget", [None, 2 * (50 + 3) * 9])
-@pytest.mark.parametrize(
+def alternating_batch(tensors, cfg):
+    return spectral._multistart(
+        tensors, spectral._alternating_phase, spectral._c_polish, lambda *_: np.inf,
+        "alternating ascent failed to reach the residual target", cfg,
+    )
+
+
+# None: the default budget; 954: two 53-row n = 3 tensors live at 50
+# starts, one on the retry; 1: one slot at every n, so every later tensor
+# of a pass enters by refill and counts its steps from its admission
+BUDGETS = [None, 2 * (50 + 3) * 9, 1]
+BATCH_CFGS = pytest.mark.parametrize(
     "cfg",
     [SolverConfig(starts=50), SolverConfig(starts=4, tol=1e-15, max_iters=10)],
     ids=["default", "no-convergence"],
 )
-def test_z_max_batch_is_bit_identical_to_single_solves(materials_dir, monkeypatch, cfg, budget):
-    if budget is not None:
-        # two 53-row tensors per power pass at 50 starts, one on the retry
-        monkeypatch.setattr(spectral, "_BATCH_BUDGET", budget)
-    tensors = mixed_batch(materials_dir)
-    alone = [solve_alone(t, cfg) for t in tensors]
-    forward = z_max_batch(tensors, cfg)
-    backward = z_max_batch(tensors[::-1], cfg)[::-1]
+
+
+def assert_batch_matches_alone(batch, route, tensors, cfg):
+    alone = [solve_alone(route, t, cfg) for t in tensors]
+    forward = batch(tensors, cfg)
+    backward = batch(tensors[::-1], cfg)[::-1]
     for want, got_f, got_b in zip(alone, forward, backward):
         assert_same_result(got_f, want)
         assert_same_result(got_b, want)
@@ -448,6 +474,24 @@ def test_z_max_batch_is_bit_identical_to_single_solves(materials_dir, monkeypatc
         assert any(failed) and not all(failed)  # the zero tensor still converges
     else:
         assert not any(failed)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@BATCH_CFGS
+def test_z_max_batch_is_bit_identical_to_single_solves(materials_dir, monkeypatch, cfg, budget):
+    if budget is not None:
+        monkeypatch.setattr(spectral, "_BATCH_BUDGET", budget)
+    assert_batch_matches_alone(z_max_batch, z_max, mixed_batch(materials_dir), cfg)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@BATCH_CFGS
+def test_alternating_batch_is_bit_identical_to_single_solves(materials_dir, monkeypatch, cfg, budget):
+    if budget is not None:
+        monkeypatch.setattr(spectral, "_BATCH_BUDGET", budget)
+    assert_batch_matches_alone(
+        alternating_batch, c_max_alternating, mixed_piezo_batch(materials_dir), cfg
+    )
 
 
 # ---------------------------------------------------------------------------
