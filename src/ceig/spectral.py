@@ -55,10 +55,10 @@ class ZEigenpair:
     """A Z-eigenvalue with its unit eigenvector.
 
     ``residual`` is ||T y^3 - value * y||_2 against the tensor the pair
-    was computed from; ``iterations`` counts the power steps the winning
-    start ran: the step it converged at, or ``max_iters`` for a start
-    that was still moving when the loop stopped and won after polish
-    (polish steps are not counted).
+    was computed from; ``iterations`` counts the power steps of the
+    quickest start that reached the winning critical point: the step it
+    converged at, or ``max_iters`` if the winner was still moving when
+    the loop stopped and won after polish (polish steps are not counted).
     """
 
     value: float
@@ -82,8 +82,8 @@ class CEigenpair:
 
     ``residual_x`` is ||A y y - value * x||_2 and ``residual_y`` is
     ||x A y - value * y||_2 for the source tensor; ``iterations`` counts
-    the power (or ascent) steps the winning start ran, as for
-    ``ZEigenpair``: ``max_iters`` if it had not converged.
+    the power (or ascent) steps of the quickest start at the winning
+    point, as for ``ZEigenpair``: ``max_iters`` if it had not converged.
     """
 
     value: float
@@ -311,21 +311,22 @@ def _newton_polish(y, state):
 
 def _dedupe_candidates(lam, Y, order):
     """Collapse starts that converged to the same critical point (up to
-    sign of y); keeps the first index in `order` as representative.
+    sign of y) into groups, one per point, each led by its first index
+    in `order`, the representative.
 
     Each representative is the first candidate still live, and it
     retires every later one within its value band whose y is aligned
     with its own.
     """
     live = np.asarray(order)
-    reps = []
+    groups = []
     while live.size:
         j, rest = live[0], live[1:]
-        reps.append(j)
         close = np.abs(lam[rest] - lam[j]) <= 1e-8 * max(1.0, abs(lam[j]))
         aligned = np.abs(Y[rest] @ Y[j]) >= 1.0 - 1e-6
+        groups.append(np.append(j, rest[close & aligned]))
         live = rest[~(close & aligned)]
-    return reps
+    return groups
 
 
 def _ranked(vals, mask):
@@ -346,18 +347,21 @@ def _pick(vals, Y, iters, converged, polish):
     return a lower critical point as the largest; if no lead start meets
     the cap there is no pair, and the caller retries or raises.
     ``polish(i)`` returns (value, residual, make) for start i, where
-    ``make(iterations)`` builds the eigenpair. Returns (pair or None,
-    smallest polished residual); at least one start must have converged.
+    ``make(iterations)`` builds the eigenpair. The pair reports the
+    fewest steps among the starts collapsed into the winner (an
+    unconverged winner's group has only unconverged starts, so
+    ``max_iters``). Returns (pair or None, smallest polished residual);
+    at least one start must have converged.
     """
     top = vals[converged].max()
     band = 1e-6 * max(1.0, abs(top))
     lead = _ranked(vals, (converged & (vals >= top - band)) | (~converged & (vals > top + band)))
-    polished = [(*polish(i), i) for i in _dedupe_candidates(vals, Y, lead)]
-    polished.sort(key=lambda p: (-p[0], p[3]))
+    polished = [(*polish(g[0]), g) for g in _dedupe_candidates(vals, Y, lead)]
+    polished.sort(key=lambda p: (-p[0], p[3][0]))
     best_rn = min(p[1] for p in polished)
-    for _, rn, make, i in polished:
+    for _, rn, make, group in polished:
         if rn <= _RESIDUAL_CAP:
-            return make(int(iters[i])), best_rn
+            return make(int(iters[group].min())), best_rn
     return None, best_rn
 
 
