@@ -193,8 +193,7 @@ def _queue(mats, pool, max_iters, step, blocks):
             keep = ~done
             keep[fill] = True
             live = [a[keep] for a in live]
-        born = live[4]
-        return int(born.min()) if born.size else it
+        return int(live[4].min(initial=it))
 
     admit(np.arange(m), 0)
     oldest, it = 0, 0
