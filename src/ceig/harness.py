@@ -55,9 +55,10 @@ class ExperimentConfig:
         if not all(np.isfinite(e) and e >= 0 for e in eps):
             raise ValidationError(f"epsilons must be finite and nonnegative, got {eps}")
         object.__setattr__(self, "epsilons", eps)
-        if not isinstance(self.trials, int) or self.trials < 1:
+        # type(), not isinstance: a bool is an int
+        if type(self.trials) is not int or self.trials < 1:
             raise ValidationError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2 ** 64):
+        if type(self.seed) is not int or not (0 <= self.seed < 2 ** 64):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 

@@ -42,11 +42,12 @@ from .tensors import lift
 _RESIDUAL_CAP = 1e-8  # residual admitted for a returned eigenpair, per unit of max entry
 _SHIFT_MARGIN = 1e-6  # convexity slack added on top of the Hessian bound
 # Start rows x n^2 live at once in a queued power pass; caps its per-step
-# arrays near 100 KB. Seed-0 study on a 2-vCPU VM, median of 12 runs per
-# budget in each of two processes, with peak RSS of the process: 6k
-# 0.32-0.34 s / 31.8 MB, 12k 0.30-0.32 s / 32.0 MB, 24k 0.39-0.40 s /
-# 32.4 MB, 48k 0.39-0.40 s / 33.4 MB. Past 12k wider steps cost more
-# than the steps they save.
+# arrays near 100 KB. Seed-0 study on a 2-vCPU VM, median of 15 runs per
+# budget, interleaved in one process, in each of two processes, with the
+# peak RSS of a one-budget process: 6k 314-316 ms / 31.9 MB, 12k 309-312 ms
+# / 32.3 MB, 24k 304-332 ms / 33.0 MB, 48k 335-376 ms / 34.5 MB (seed 6:
+# 441, 454, 458, 465 ms). 6k to 24k are within noise of each other; 48k is
+# slower and larger.
 _BATCH_BUDGET = 12 * 1024
 
 
@@ -114,13 +115,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.starts, int) or self.starts < 1:
+        # type(), not isinstance: a bool is an int
+        if type(self.starts) is not int or self.starts < 1:
             raise ValidationError(f"starts must be a positive integer, got {self.starts!r}")
         if not (self.tol > 0.0):
             raise ValidationError(f"tol must be positive, got {self.tol!r}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 10:
+        if type(self.max_iters) is not int or self.max_iters < 10:
             raise ValidationError(f"max_iters must be an integer >= 10, got {self.max_iters!r}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2 ** 64):
+        if type(self.seed) is not int or not (0 <= self.seed < 2 ** 64):
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
 
 
@@ -142,7 +144,7 @@ def _start_pool(seed, starts, n):
     return pool
 
 
-def _queue(mats, pool, max_iters, step, blocks):
+def _queue(mats, pool, max_iters, step, blocks, work):
     """Run every start of `pool` on a stack of same-dimension tensors as
     one refilling queue; returns (vals, Y, iters, converged) with a
     leading tensor axis and Y as (k, s, n).
@@ -152,12 +154,21 @@ def _queue(mats, pool, max_iters, step, blocks):
     `max_iters` steps of its own, and the next tensor of the stack takes
     its slot; `iters` counts from the step its tensor was admitted at
     (`max_iters` for a start that had not converged). A live slot holds
-    its tensor's matrix, values (inf until the first step), active mask
-    and (n, s) blocks, Y first, each seeded from `blocks`;
-    ``step(mats, vals, active, *blocks)`` advances every live start one
-    step in place, clears the starts that converged from `active` and
-    returns them. Starts never mix, so each (tensor, start) gets the bits
-    it would get alone.
+    its tensor's matrix, values (inf until its first step) and active
+    mask, each (slot, start), and its columns of the coordinate-major
+    (n, slot, start) blocks, Y first, each seeded from an (n, s) entry
+    of `blocks`. After the blocks come `work` scratch arrays of shape
+    (n^2, slot, start), whose contents do not outlive a step: a step that
+    allocated and freed arrays near 100 KB itself would let glibc trim
+    and regrow its heap, page-faulting on every step.
+    ``step(mats, vals, active, fresh, *blocks, *work)`` advances every
+    live start one step in place, clears the starts that converged from
+    `active` and returns them; `fresh` is set on a step that follows an
+    admission. Starts never mix, so each (tensor, start) gets the bits
+    it would get alone. That is also why converged starts keep their
+    columns until their tensor retires: OpenBLAS can round a gemm column
+    differently at different column counts, so compacting starts would
+    make a tensor's bits depend on its batch-mates.
     """
     k, (s, n) = mats.shape[0], pool.shape
     vals_out = np.empty((k, s))
@@ -166,24 +177,27 @@ def _queue(mats, pool, max_iters, step, blocks):
     conv_out = np.empty((k, s), dtype=bool)
     m = min(k, max(1, _BATCH_BUDGET // (s * n * n)))
     # per slot: matrix, values, active mask, step of convergence, step of
-    # admission, stack index, then the blocks
+    # admission, stack index; then the blocks and scratch, slot axis second
     live = [np.empty((m,) + mats.shape[1:]), np.empty((m, s)), np.empty((m, s), dtype=bool),
-            np.empty((m, s), dtype=int), np.empty(m, dtype=int), np.empty(m, dtype=int),
-            *(np.empty((m, n, s)) for _ in blocks)]
-    queued = 0
+            np.empty((m, s), dtype=int), np.empty(m, dtype=int), np.empty(m, dtype=int)]
+    state = [np.empty((n, m, s)) for _ in blocks] + [np.empty((n * n, m, s)) for _ in range(work)]
+    queued, fresh = 0, False
 
     def admit(slots, it):
-        nonlocal queued
+        nonlocal queued, fresh
         lo, queued = queued, queued + slots.size
-        for a, v in zip(live, (mats[lo:queued], np.inf, True, 0, it, np.arange(lo, queued), *blocks)):
+        for a, v in zip(live, (mats[lo:queued], np.inf, True, 0, it, np.arange(lo, queued))):
             a[slots] = v
+        for a, v in zip(state, blocks):
+            a[:, slots] = v[:, None]
+        fresh = slots.size > 0
 
     def retire(done, it):
-        nonlocal live
-        _, vals, active, at, born, idx, Y = live[:7]
+        nonlocal live, state
+        _, vals, active, at, born, idx = live
         ids = idx[done]
         vals_out[ids] = vals[done]
-        Y_out[ids] = Y[done].transpose(0, 2, 1)
+        Y_out[ids] = state[0][:, done].transpose(1, 2, 0)
         iters_out[ids] = np.where(active[done], max_iters, at[done] - born[done, None])
         conv_out[ids] = ~active[done]
         slots = np.flatnonzero(done)
@@ -193,14 +207,16 @@ def _queue(mats, pool, max_iters, step, blocks):
             keep = ~done
             keep[fill] = True
             live = [a[keep] for a in live]
+            state = [a[:, keep] for a in state]
         return int(live[4].min(initial=it))
 
     admit(np.arange(m), 0)
     oldest, it = 0, 0
     while live[0].shape[0]:
         it += 1
-        live_mats, vals, active, at, born, _, *state = live
-        newly = step(live_mats, vals, active, *state)
+        live_mats, vals, active, at, born, _ = live
+        newly = step(live_mats, vals, active, fresh, *state)
+        fresh = False
         capped = it - oldest >= max_iters
         if capped or newly.any():
             at[newly] = it
@@ -213,8 +229,8 @@ def _queue(mats, pool, max_iters, step, blocks):
 
 
 def _norms(v):
-    """2-norms over axis 1: np.linalg.norm's own expression for real input."""
-    return np.sqrt(np.add.reduce(v * v, axis=1))
+    """2-norms over axis 0: np.linalg.norm's own expression for real input."""
+    return np.sqrt(np.add.reduce(v * v, axis=0))
 
 
 def _power_phase(t, pool, tol, max_iters):
@@ -223,36 +239,44 @@ def _power_phase(t, pool, tol, max_iters):
 
     `t` has shape (k, n, n, n, n); each tensor is iterated flattened to
     n^2 x n^2 (valid by full symmetry). The iterates live in a
-    (tensor, coordinate, start) = (k, n, s) layout: the pair products
-    y_i y_j of all starts form an (n^2, s) block per tensor, so T y^2 is
-    one matrix product per tensor and every other step reduces over the
-    coordinate axis with the starts contiguous. A start is converged when
-    its Rayleigh value stalls within `tol` or its eigen-residual is
-    already below tol * scale.
+    coordinate-major (coordinate, tensor, start) = (n, m, s) layout: the
+    pair products y_i y_j of all starts form an (n^2, m, s) block, so
+    T y^2 is one matrix product per tensor, written into scratch, and every
+    other step reduces over a leading coordinate axis with the
+    (tensor, start) plane contiguous. A start is converged when its
+    Rayleigh value stalls within `tol`, or on its first step when its
+    eigen-residual is already below tol * scale (a start that begins at
+    an eigenvector).
     """
     k, (s, n) = t.shape[0], pool.shape
 
-    def step(tmats, lam, active, Y):
-        t2 = tmats @ (Y[:, :, None] * Y[:, None]).reshape(-1, n * n, s)
-        grad = (t2.reshape(-1, n, n, s) * Y[:, None]).sum(axis=2)
-        lam_k = (Y * grad).sum(axis=1)
-        resid = _norms(grad - lam_k[:, None] * Y)
-        scale = np.maximum(1.0, np.abs(lam_k))
+    def step(tmats, lam, active, fresh, Y, pp, t2, prod):
+        m = Y.shape[1]
+        np.multiply(Y[:, None], Y, out=pp.reshape(n, n, m, s))
+        np.matmul(tmats, pp.transpose(1, 0, 2), out=t2.transpose(1, 0, 2))
+        prod = np.multiply(t2.reshape(n, n, m, s), Y, out=prod.reshape(n, n, m, s))
+        grad = np.add.reduce(prod, axis=1)
+        lam_k = np.add.reduce(Y * grad, axis=0)
         # an active start's lam is still its value of the previous step
-        newly = active & ((np.abs(lam_k - lam) <= tol) | (resid <= tol * scale))
+        newly = active & (np.abs(lam_k - lam) <= tol)
+        if fresh:
+            resid = _norms(grad - lam_k * Y)
+            first = active & np.isinf(lam)
+            newly |= first & (resid <= tol * np.maximum(1.0, np.abs(lam_k)))
         np.copyto(lam, lam_k, where=active)
         active ^= newly
         # Convexity shift from a Gershgorin floor on the Hessian 12*Ty^2.
-        diag = t2[:, :: n + 1]
-        off = np.abs(t2).reshape(-1, n, n, s).sum(axis=2) - np.abs(diag)
-        floor = 12.0 * (diag - off).min(axis=1)
+        abs_t2 = np.abs(t2, out=prod.reshape(n * n, m, s))
+        diag = t2[:: n + 1]
+        off = np.add.reduce(abs_t2.reshape(n, n, m, s), axis=1) - abs_t2[:: n + 1]
+        floor = 12.0 * np.minimum.reduce(diag - off, axis=0)
         alpha = np.maximum(0.0, (_SHIFT_MARGIN - floor) / 4.0)
-        w = grad + alpha[:, None] * Y
+        w = grad + alpha * Y
         wn = _norms(w)
-        np.divide(w, wn[:, None], out=Y, where=(active & (wn > 1e-150))[:, None])
+        np.divide(w, wn, out=Y, where=active & (wn > 1e-150))
         return newly
 
-    return _queue(t.reshape(k, n * n, n * n), pool, max_iters, step, [pool.T])
+    return _queue(t.reshape(k, n * n, n * n), pool, max_iters, step, [pool.T], 3)
 
 
 def _entry_scale(T):
@@ -535,31 +559,35 @@ def _alternating_phase(a, pool, tol, max_iters):
 
     x-update is the closed-form optimum for fixed y; y-update is one
     power step on N(x) shifted by its Frobenius norm, which keeps the
-    objective nondecreasing. The iterates live in the (k, n, s) layout
+    objective nondecreasing. The iterates live in the (n, m, s) layout
     of ``_power_phase``, so A y y and N(x) are one matrix product per
     tensor; every x starts at e_1. A start is converged when its
     objective stalls within `tol`.
     """
     k, (s, n) = a.shape[0], pool.shape
 
-    def step(amats, f, active, Y, X):
-        v = amats @ (Y[:, :, None] * Y[:, None]).reshape(-1, n * n, s)
+    def step(amats, f, active, _fresh, Y, X, pp, nb, prod):
+        m = Y.shape[1]
+        v = prod[:n]
+        np.multiply(Y[:, None], Y, out=pp.reshape(n, n, m, s))
+        np.matmul(amats, pp.transpose(1, 0, 2), out=v.transpose(1, 0, 2))
         vn = _norms(v)
-        np.divide(v, vn[:, None], out=X, where=(active & (vn > 1e-150))[:, None])
-        nb = amats.transpose(0, 2, 1) @ X
+        np.divide(v, vn, out=X, where=active & (vn > 1e-150))
+        np.matmul(amats.transpose(0, 2, 1), X.transpose(1, 0, 2), out=nb.transpose(1, 0, 2))
         frob = _norms(nb)
-        nb = nb.reshape(-1, n, n, s)
-        w = (nb * Y[:, None]).sum(axis=2) + frob[:, None] * Y
+        nb = nb.reshape(n, n, m, s)
+        prod = prod.reshape(n, n, m, s)
+        w = np.add.reduce(np.multiply(nb, Y, out=prod), axis=1) + frob * Y
         wn = _norms(w)
-        np.divide(w, wn[:, None], out=Y, where=(active & (wn > 1e-150))[:, None])
-        f_k = ((nb * Y[:, None]).sum(axis=2) * Y).sum(axis=1)
+        np.divide(w, wn, out=Y, where=active & (wn > 1e-150))
+        f_k = np.add.reduce(np.add.reduce(np.multiply(nb, Y, out=prod), axis=1) * Y, axis=0)
         # an active start's f is still its value of the previous step
         newly = active & (np.abs(f_k - f) <= tol)
         np.copyto(f, f_k, where=active)
         active ^= newly
         return newly
 
-    return _queue(a.reshape(k, n, n * n), pool, max_iters, step, [pool.T, np.eye(n)[:, :1]])
+    return _queue(a.reshape(k, n, n * n), pool, max_iters, step, [pool.T, np.eye(n)[:, :1]], 3)
 
 
 def _c_state(a, y):

@@ -146,6 +146,18 @@ def test_experiment_config_validation():
     assert cfg.epsilons == (0.0, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "config, name",
+    [(SolverConfig, "starts"), (SolverConfig, "max_iters"), (SolverConfig, "seed"),
+     (ExperimentConfig, "trials"), (ExperimentConfig, "seed")],
+)
+def test_configs_reject_bool_integer_fields(config, name):
+    # bool subclasses int, so True would pass as 1 and False as 0
+    for flag in (True, False):
+        with pytest.raises(ValidationError, match=name):
+            config(**{name: flag})
+
+
 def test_experiment_config_rejects_non_finite_epsilons():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="finite and nonnegative"):

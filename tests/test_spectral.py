@@ -911,3 +911,27 @@ def test_kernels_match_the_row_major_loops(kernel, reference, lifted, tol, max_i
         assert np.all((gap <= 1e-12 * scale)[same])
         assert np.all(gap[~same] <= 10.0 * tol)
         np.testing.assert_allclose(Y[same], want_Y[same], rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("budget, ahead", [(None, 0), (1, 1)], ids=["step-0", "refill"])
+def test_starts_at_an_eigenvector_converge_on_their_first_step(monkeypatch, budget, ahead):
+    # the basis vectors are exact Z-eigenvectors of a diagonal quartic, so
+    # the basis starts have zero residual on the first step, when the stall
+    # test cannot yet decide; with one slot the diagonal tensor enters by
+    # refill behind a slower tensor and counts its steps from there
+    if budget is not None:
+        monkeypatch.setattr(spectral, "_BATCH_BUDGET", budget)
+    d = [1.0, 0.5, 0.25]
+    diagonal = np.zeros((3,) * 4)
+    diagonal[(np.arange(3),) * 4] = d
+    slow = lift(rand_piezo(31)).entries
+    stack = np.stack([slow / np.abs(slow).max()] * ahead + [diagonal])
+    pool = spectral._start_pool(0, 8, 3)
+    vals, _, iters, conv = spectral._power_phase(stack, pool, 1e-12, 5000)
+    assert conv.all()
+    if ahead:
+        assert iters[0].min() > 1
+    np.testing.assert_array_equal(iters[-1, 8:], 1)
+    np.testing.assert_array_equal(vals[-1, 8:], d)
+    # the generic starts converge later, through the stall test
+    assert iters[-1, :8].min() > 1
