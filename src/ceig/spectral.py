@@ -14,7 +14,7 @@ lambda = 0, takes x = y, so no null-space vector is ever computed.
 The Z-solver is shifted symmetric higher-order power iteration, batched
 over tensors and starts, with a convexity shift picked adaptively from a
 Gershgorin bound on the Hessian. Both routes run through one multi-start
-driver (dedupe, normalization, doubled-start retry, failure report), one
+driver (dedupe, normalization, one queued pass, failure report), one
 winner rule and one bordered Newton polish, which pushes winning
 residuals down to machine level so the residual cap (1e-8 times the
 largest entry) holds with slack.
@@ -129,8 +129,7 @@ class SolverConfig:
 @lru_cache(maxsize=64)
 def _start_pool(seed, starts, n):
     """Unit start vectors: `starts` seeded Gaussian directions, then the
-    n canonical basis vectors. Cached read-only; the stream prefix is
-    shared, so doubling `starts` keeps the original draws in place."""
+    n canonical basis vectors. Cached read-only."""
     stream = SplitMix64(seed)
     g = np.array(stream.gaussians(starts * n), dtype=float).reshape(starts, n)
     norms = np.linalg.norm(g, axis=1)
@@ -144,7 +143,7 @@ def _start_pool(seed, starts, n):
     return pool
 
 
-def _queue(mats, pool, max_iters, step, blocks, work):
+def _queue(mats, pool, max_iters, step, blocks):
     """Run every start of `pool` on a stack of same-dimension tensors as
     one refilling queue; returns (vals, Y, iters, converged) with a
     leading tensor axis and Y as (k, s, n).
@@ -157,11 +156,11 @@ def _queue(mats, pool, max_iters, step, blocks, work):
     its tensor's matrix, values (inf until its first step) and active
     mask, each (slot, start), and its columns of the coordinate-major
     (n, slot, start) blocks, Y first, each seeded from an (n, s) entry
-    of `blocks`. After the blocks come `work` scratch arrays of shape
+    of `blocks`. After the blocks come three scratch arrays of shape
     (n^2, slot, start), whose contents do not outlive a step: a step that
     allocated and freed arrays near 100 KB itself would let glibc trim
     and regrow its heap, page-faulting on every step.
-    ``step(mats, vals, active, fresh, *blocks, *work)`` advances every
+    ``step(mats, vals, active, fresh, *blocks, *scratch)`` advances every
     live start one step in place, clears the starts that converged from
     `active` and returns them; `fresh` is set on a step that follows an
     admission. Starts never mix, so each (tensor, start) gets the bits
@@ -180,7 +179,7 @@ def _queue(mats, pool, max_iters, step, blocks, work):
     # admission, stack index; then the blocks and scratch, slot axis second
     live = [np.empty((m,) + mats.shape[1:]), np.empty((m, s)), np.empty((m, s), dtype=bool),
             np.empty((m, s), dtype=int), np.empty(m, dtype=int), np.empty(m, dtype=int)]
-    state = [np.empty((n, m, s)) for _ in blocks] + [np.empty((n * n, m, s)) for _ in range(work)]
+    state = [np.empty((n, m, s)) for _ in blocks] + [np.empty((n * n, m, s)) for _ in range(3)]
     queued, fresh = 0, False
 
     def admit(slots, it):
@@ -276,7 +275,7 @@ def _power_phase(t, pool, tol, max_iters):
         np.divide(w, wn, out=Y, where=active & (wn > 1e-150))
         return newly
 
-    return _queue(t.reshape(k, n * n, n * n), pool, max_iters, step, [pool.T], 3)
+    return _queue(t.reshape(k, n * n, n * n), pool, max_iters, step, [pool.T])
 
 
 def _entry_scale(T):
@@ -368,7 +367,7 @@ def _pick(vals, Y, iters, converged, polish):
     above that band: a run cut short must not pass over a higher
     critical point. Lower clusters are never tried, since they would
     return a lower critical point as the largest; if no lead start meets
-    the cap there is no pair, and the caller retries or raises.
+    the cap there is no pair, and the caller raises.
     ``polish(i)`` returns (value, residual, make) for start i, where
     ``make(iterations)`` builds the eigenpair. The pair reports the
     fewest steps among the starts collapsed into the winner (an
@@ -398,50 +397,37 @@ def _multistart(tensors, phase, polish, stuck, failure, cfg):
     which would otherwise freeze under an absolute shift); values and
     residuals are scaled back. ``phase(stack, pool, tol, max_iters)``
     runs every start on a same-dimension stack of normalized entries and
-    returns (vals, Y, iters, converged) with a leading tensor axis; the
-    winner is picked by ``_pick`` through ``polish(t, y, scale)``, which
-    builds its pair at the original scale; ``stuck(t, vals, Y)`` is the
-    best residual of a tensor none of whose starts converged. Each pass
-    runs every same-dimension group through one ``phase`` call, a
-    ``_queue`` over the group. Tensors without a pair get one more queued
-    pass with doubled starts; the failure carries no residual if neither
-    pass saw one.
+    returns (vals, Y, iters, converged) with a leading tensor axis; each
+    same-dimension group goes through one ``phase`` call, a ``_queue``
+    over the group, with ``cfg.starts`` starts. The winner is picked by
+    ``_pick`` through ``polish(t, y, scale)``, which builds its pair at
+    the original scale; ``stuck(t, vals, Y)`` is the best residual of a
+    tensor none of whose starts converged. A failure carries no residual
+    if its pass saw none.
     """
     distinct = {}
     for T in tensors:
         distinct.setdefault(T.entries.tobytes(), T)
-    unique = list(distinct.values())
-    scales = [_entry_scale(T) for T in unique]
-    pairs = [None] * len(unique)
-    best = [np.inf] * len(unique)
-    todo = range(len(unique))
-    for starts in (cfg.starts, 2 * cfg.starts):
-        # the doubled-start pass only revisits tensors that failed
-        by_n = {}
-        for i in todo:
-            by_n.setdefault(unique[i].n, []).append(i)
-        for n, group in by_n.items():
-            stack = np.stack([unique[i].entries for i in group])
-            for t, i in zip(stack, group):
-                t /= scales[i]
-            pool = _start_pool(cfg.seed, starts, n)
-            for i, t, vals, Y, iters, converged in zip(
-                group, stack, *phase(stack, pool, cfg.tol, cfg.max_iters)
-            ):
-                if converged.any():
-                    pairs[i], rn = _pick(
-                        vals, Y, iters, converged, lambda j: polish(t, Y[j], scales[i])
-                    )
-                else:
-                    rn = stuck(t, vals, Y)
-                best[i] = min(best[i], rn)
-        todo = [i for i in todo if pairs[i] is None]
+    by_n = {}
+    for key, T in distinct.items():
+        by_n.setdefault(T.n, []).append((key, _entry_scale(T)))
     solved = {}
-    for key, pair, rn, scale in zip(distinct, pairs, best, scales):
-        if pair is None:
-            rn = rn * scale if np.isfinite(rn) else None
-            pair = NoConvergence(failure, best_residual=rn)
-        solved[key] = pair
+    for n, group in by_n.items():
+        stack = np.stack([distinct[key].entries for key, _ in group])
+        for t, (_, scale) in zip(stack, group):
+            t /= scale
+        pool = _start_pool(cfg.seed, cfg.starts, n)
+        for (key, scale), t, vals, Y, iters, converged in zip(
+            group, stack, *phase(stack, pool, cfg.tol, cfg.max_iters)
+        ):
+            if converged.any():
+                pair, rn = _pick(vals, Y, iters, converged, lambda j: polish(t, Y[j], scale))
+            else:
+                pair, rn = None, stuck(t, vals, Y)
+            if pair is None:
+                rn = rn * scale if np.isfinite(rn) else None
+                pair = NoConvergence(failure, best_residual=rn)
+            solved[key] = pair
     return [solved[T.entries.tobytes()] for T in tensors]
 
 
@@ -491,8 +477,9 @@ def z_max(T, cfg=SolverConfig()):
     Multi-start shifted power iteration; the winner comes from
     ``_pick``'s lead-cluster rule: the largest polished value among the
     starts near the converged top (and any unconverged start above it)
-    that meet the residual cap, ties broken by lowest start index. A
-    doubled-start pass is attempted once before giving up.
+    that meet the residual cap, ties broken by lowest start index. There
+    is one pass of ``cfg.starts`` starts: if it yields no pair,
+    ``NoConvergence`` is raised.
     """
     return held(z_max_batch([T], cfg)[0])
 
@@ -587,7 +574,7 @@ def _alternating_phase(a, pool, tol, max_iters):
         active ^= newly
         return newly
 
-    return _queue(a.reshape(k, n, n * n), pool, max_iters, step, [pool.T, np.eye(n)[:, :1]], 3)
+    return _queue(a.reshape(k, n, n * n), pool, max_iters, step, [pool.T, np.eye(n)[:, :1]])
 
 
 def _c_state(a, y):

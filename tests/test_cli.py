@@ -58,6 +58,15 @@ def test_compute_malformed_file(tmp_path, capsys):
     assert "bad.txt:2" in capsys.readouterr().err
 
 
+def test_compute_unallocatable_dimension(tmp_path, capsys):
+    # n^3 float entries for n = 100000 are 8e15 bytes: numpy raises
+    # MemoryError at once, before any of it is touched
+    p = tmp_path / "huge.txt"
+    p.write_text("n 100000\n")
+    assert main(["compute", str(p)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_compute_bad_solver_flags(single_entry_file, capsys):
     assert main(["compute", str(single_entry_file), "--starts", "0"]) == 2
     capsys.readouterr()
@@ -188,6 +197,19 @@ def test_experiment_non_convergence_names_first_cell(tmp_path, capsys):
     )
     assert rc == 3
     assert "error: material 'rand', epsilon 1, trial 0: " in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the zmin_diff problem of cell LiBiB2O5, eps 0.01 creeps toward a "
+    "near-zero top and no start stalls within max_iters (CHANGES.md FOUND on "
+    "seed 17073); ROADMAP item 6's certified rescue should make this pass",
+)
+def test_experiment_seed_17073_exits_0(materials_dir, tmp_path, capsys):
+    rc = main(["experiment", "--materials", str(materials_dir), "--seed", "17073",
+               "--csv", str(tmp_path / "x.csv")])
+    capsys.readouterr()
+    assert rc == 0
 
 
 def test_experiment_property_violation_exit_code(tmp_path, capsys, monkeypatch):
