@@ -80,26 +80,29 @@ def bound_spectral(lambda_a, norm_e2):
 def bound_quadratic(lambda_a, zmin_diff, zmax_diff):
     """Square-root interval from the companion-difference Z-extremes.
 
-    A radicand lambda_a^2 + shift is clamped at zero only inside a
-    numerical band of 1e-8 times max(1, lambda_a^2 + |shift|), the scale
-    of its rounding; a radicand below that signals inconsistent inputs
-    and raises.
+    Both tolerances are relative to lambda_a^2 + max(|zmin_diff|,
+    |zmax_diff|), the scale of the inputs' rounding, so the outcome does
+    not depend on the tensors' scale. An inversion zmin_diff > zmax_diff
+    within 1e-10 of it is forgiven, and a radicand lambda_a^2 + shift is
+    clamped at zero only within 1e-8 of it; beyond those, the inputs are
+    inconsistent and it raises.
     """
     lambda_a = float(lambda_a)
     zmin_diff, zmax_diff = float(zmin_diff), float(zmax_diff)
     _require_nonneg(lambda_a=lambda_a)
+    sq = lambda_a * lambda_a
+    scale = sq + max(abs(zmin_diff), abs(zmax_diff))
     if zmin_diff > zmax_diff:
         # tolerate solver rounding on degenerate differences, reject the rest
-        if zmin_diff - zmax_diff > 1e-10 * max(1.0, abs(zmax_diff)):
+        if zmin_diff - zmax_diff > 1e-10 * scale:
             raise ValidationError(
                 f"zmin_diff {zmin_diff!r} exceeds zmax_diff {zmax_diff!r}"
             )
         zmin_diff = zmax_diff
-    sq = lambda_a * lambda_a
     endpoints = []
     for shift in (zmin_diff, zmax_diff):
         radicand = sq + shift
-        if radicand < -_NEG_BAND * max(1.0, sq + abs(shift)):
+        if radicand < -_NEG_BAND * scale:
             raise RadicandNegative(
                 f"lambda_a^2 + {shift!r} = {radicand!r} is negative beyond tolerance"
             )

@@ -126,6 +126,33 @@ def test_bound_quadratic_clamps_inside_band():
     assert iv.lo == 0.0
 
 
+def quadratic_outcome(lambda_a, zmin_diff, zmax_diff):
+    try:
+        iv = bound_quadratic(lambda_a, zmin_diff, zmax_diff)
+    except (RadicandNegative, ValidationError) as exc:
+        return type(exc)
+    return iv.lo, iv.hi
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [(1.0, -1.1, 0.0), (1.0, -2.0, 0.0), (1.0, 0.5, 0.2), (1.0, 50.0, 0.0),
+     (2.0, 1e-13, 0.0), (0.0, -1e-9, 1.0), (1.0, -1.0 - 1e-9, 0.5),
+     (27.4628, -3.0, 5.0), (0.0, 0.0, 0.0)],
+)
+def test_bound_quadratic_outcome_is_scale_free(inputs):
+    # lambda_a scales like the tensors, the companion-difference extremes
+    # like their square: every outcome, raise or interval, scales along
+    lambda_a, zmin_diff, zmax_diff = inputs
+    want = quadratic_outcome(lambda_a, zmin_diff, zmax_diff)
+    for t in 10.0 ** np.arange(-6, 4):
+        got = quadratic_outcome(t * lambda_a, t * t * zmin_diff, t * t * zmax_diff)
+        if isinstance(want, tuple):
+            assert got == pytest.approx((t * want[0], t * want[1]), rel=1e-12, abs=0.0), t
+        else:
+            assert got is want, t
+
+
 # ---------------------------------------------------------------------------
 # full_report
 
