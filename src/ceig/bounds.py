@@ -43,7 +43,7 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
-        if self.lo > self.hi + 1e-12:
+        if self.lo > self.hi:
             raise PropertyViolation(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
     def contains(self, value, slack=0.0):

@@ -53,6 +53,15 @@ _SHIFT_MARGIN = 1e-6  # convexity slack added on top of the Hessian bound
 _BATCH_BUDGET = 12 * 1024
 
 
+def _unit_vector(v, name):
+    """Read-only flat float copy of `v`; raises unless it is unit length."""
+    v = np.array(v, dtype=float).reshape(-1)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        raise PropertyViolation(f"{name} is not unit length")
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class ZEigenpair:
     """A Z-eigenvalue with its unit eigenvector.
@@ -70,12 +79,7 @@ class ZEigenpair:
     iterations: int
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        if abs(np.linalg.norm(y) - 1.0) > 1e-10:
-            raise PropertyViolation("Z-eigenvector is not unit length")
-        y = y.copy()
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", _unit_vector(self.y, "Z-eigenvector"))
         object.__setattr__(self, "value", float(self.value))
 
 
@@ -99,13 +103,8 @@ class CEigenpair:
     iterations: int
 
     def __post_init__(self):
-        for field in ("x", "y"):
-            v = np.asarray(getattr(self, field), dtype=float).reshape(-1)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-                raise PropertyViolation(f"C-eigenvector {field} is not unit length")
-            v = v.copy()
-            v.setflags(write=False)
-            object.__setattr__(self, field, v)
+        for f in ("x", "y"):
+            object.__setattr__(self, f, _unit_vector(getattr(self, f), f"C-eigenvector {f}"))
         if self.value < 0.0:
             raise PropertyViolation("largest C-eigenvalue must be nonnegative")
         object.__setattr__(self, "value", float(self.value))
@@ -147,7 +146,7 @@ def _start_pool(seed, starts, n):
     return pool
 
 
-def _queue(mats, pool, max_iters, step, blocks):
+def _queue(mats, pool, max_iters, step):
     """Run every start of `pool` on a stack of same-dimension tensors as
     one refilling queue; returns (vals, Y, iters, converged) with a
     leading tensor axis and Y as (k, s, n).
@@ -159,19 +158,18 @@ def _queue(mats, pool, max_iters, step, blocks):
     (`max_iters` for a start that had not converged). A live slot holds
     its tensor's matrix, values (inf until its first step) and active
     mask, each (slot, start), and its columns of the coordinate-major
-    (n, slot, start) blocks, Y first, each seeded from an (n, s) entry
-    of `blocks`. After the blocks come three scratch arrays of shape
-    (n^2, slot, start), whose contents do not outlive a step: a step that
-    allocated and freed arrays near 100 KB itself would let glibc trim
-    and regrow its heap, page-faulting on every step.
-    ``step(mats, vals, active, fresh, *blocks, *scratch)`` advances every
-    live start one step in place, clears the starts that converged from
-    `active` and returns them; `fresh` is set on a step that follows an
-    admission. Starts never mix, so each (tensor, start) gets the bits
-    it would get alone. That is also why converged starts keep their
-    columns until their tensor retires: OpenBLAS can round a gemm column
-    differently at different column counts, so compacting starts would
-    make a tensor's bits depend on its batch-mates.
+    (n, slot, start) iterate Y, seeded from `pool`. Beside Y the queue
+    keeps three scratch arrays of shape (n^2, slot, start), whose
+    contents do not outlive a step: a step that allocated and freed
+    arrays near 100 KB itself would let glibc trim and regrow its heap,
+    page-faulting on every step. ``step(mats, vals, active, Y, *scratch)``
+    advances every live start one step in place, clears the starts that
+    converged from `active` and returns them. Starts never mix, so each
+    (tensor, start) gets the bits it would get alone. That is also why
+    converged starts keep their columns until their tensor retires:
+    OpenBLAS can round a gemm column differently at different column
+    counts, so compacting starts would make a tensor's bits depend on
+    its batch-mates.
     """
     k, (s, n) = mats.shape[0], pool.shape
     vals_out = np.empty((k, s))
@@ -180,20 +178,18 @@ def _queue(mats, pool, max_iters, step, blocks):
     conv_out = np.empty((k, s), dtype=bool)
     m = min(k, max(1, _BATCH_BUDGET // (s * n * n)))
     # per slot: matrix, values, active mask, step of convergence, step of
-    # admission, stack index; then the blocks and scratch, slot axis second
+    # admission, stack index; then Y and the scratch, slot axis second
     live = [np.empty((m,) + mats.shape[1:]), np.empty((m, s)), np.empty((m, s), dtype=bool),
             np.empty((m, s), dtype=int), np.empty(m, dtype=int), np.empty(m, dtype=int)]
-    state = [np.empty((n, m, s)) for _ in blocks] + [np.empty((n * n, m, s)) for _ in range(3)]
-    queued, fresh = 0, False
+    state = [np.empty((n, m, s))] + [np.empty((n * n, m, s)) for _ in range(3)]
+    queued = 0
 
     def admit(slots, it):
-        nonlocal queued, fresh
+        nonlocal queued
         lo, queued = queued, queued + slots.size
         for a, v in zip(live, (mats[lo:queued], np.inf, True, 0, it, np.arange(lo, queued))):
             a[slots] = v
-        for a, v in zip(state, blocks):
-            a[:, slots] = v[:, None]
-        fresh = slots.size > 0
+        state[0][:, slots] = pool.T[:, None]
 
     def retire(done, it):
         nonlocal live, state
@@ -218,8 +214,7 @@ def _queue(mats, pool, max_iters, step, blocks):
     while live[0].shape[0]:
         it += 1
         live_mats, vals, active, at, born, _ = live
-        newly = step(live_mats, vals, active, fresh, *state)
-        fresh = False
+        newly = step(live_mats, vals, active, *state)
         capped = it - oldest >= max_iters
         if capped or newly.any():
             at[newly] = it
@@ -247,13 +242,13 @@ def _power_phase(t, pool, tol, max_iters):
     T y^2 is one matrix product per tensor, written into scratch, and every
     other step reduces over a leading coordinate axis with the
     (tensor, start) plane contiguous. A start is converged when its
-    Rayleigh value stalls within `tol`, or on its first step when its
-    eigen-residual is already below tol * scale (a start that begins at
-    an eigenvector).
+    Rayleigh value stalls within `tol`. That holds for a start that
+    begins at an eigenvector too: the shift keeps lambda + alpha > 0, so
+    the step maps it to itself and it stalls on its second step.
     """
     k, (s, n) = t.shape[0], pool.shape
 
-    def step(tmats, lam, active, fresh, Y, pp, t2, prod):
+    def step(tmats, lam, active, Y, pp, t2, prod):
         m = Y.shape[1]
         np.multiply(Y[:, None], Y, out=pp.reshape(n, n, m, s))
         np.matmul(tmats, pp.transpose(1, 0, 2), out=t2.transpose(1, 0, 2))
@@ -262,10 +257,6 @@ def _power_phase(t, pool, tol, max_iters):
         lam_k = np.add.reduce(Y * grad, axis=0)
         # an active start's lam is still its value of the previous step
         newly = active & (np.abs(lam_k - lam) <= tol)
-        if fresh:
-            resid = _norms(grad - lam_k * Y)
-            first = active & np.isinf(lam)
-            newly |= first & (resid <= tol * np.maximum(1.0, np.abs(lam_k)))
         np.copyto(lam, lam_k, where=active)
         active ^= newly
         # Convexity shift from a Gershgorin floor on the Hessian 12*Ty^2.
@@ -279,7 +270,7 @@ def _power_phase(t, pool, tol, max_iters):
         np.divide(w, wn, out=Y, where=active & (wn > 1e-150))
         return newly
 
-    return _queue(t.reshape(k, n * n, n * n), pool, max_iters, step, [pool.T])
+    return _queue(t.reshape(k, n * n, n * n), pool, max_iters, step)
 
 
 def _entry_scale(T):
@@ -405,9 +396,9 @@ def _multistart(tensors, phase, polish, stuck, failure, cfg):
     same-dimension group goes through one ``phase`` call, a ``_queue``
     over the group, with ``cfg.starts`` starts. The winner is picked by
     ``_pick`` through ``polish(t, y, scale)``, which builds its pair at
-    the original scale; ``stuck(t, vals, Y)`` is the best residual of a
-    tensor none of whose starts converged. A failure carries no residual
-    if its pass saw none.
+    the original scale; ``stuck(t, Y)`` is the best residual among the
+    final iterates Y of a tensor none of whose starts converged. A
+    failure carries no residual if its pass saw none.
     """
     distinct = {}
     for T in tensors:
@@ -427,7 +418,7 @@ def _multistart(tensors, phase, polish, stuck, failure, cfg):
             if converged.any():
                 pair, rn = _pick(vals, Y, iters, converged, lambda j: polish(t, Y[j], scale))
             else:
-                pair, rn = None, stuck(t, vals, Y)
+                pair, rn = None, stuck(t, Y)
             if pair is None:
                 rn = rn * scale if np.isfinite(rn) else None
                 pair = NoConvergence(failure, best_residual=rn)
@@ -442,12 +433,11 @@ def held(result):
     return result
 
 
-def _z_stuck(t, lam, Y):
-    """Smallest eigen-residual among unconverged power starts."""
+def _z_stuck(t, Y):
+    """Smallest ``_z_state`` residual among unconverged power starts."""
     n = Y.shape[1]
-    pp = (Y[:, :, None] * Y[:, None, :]).reshape(Y.shape[0], n * n)
-    grad = np.matmul((pp @ t.reshape(n * n, n * n)).reshape(-1, n, n), Y[:, :, None])[:, :, 0]
-    return float(np.linalg.norm(grad - lam[:, None] * Y, axis=1).min())
+    tmat = t.reshape(n * n, n * n)
+    return min(_z_state(tmat, y)[2] for y in Y)
 
 
 def _z_polish(t, y, scale):
@@ -556,20 +546,26 @@ def _alternating_phase(a, pool, tol, max_iters):
     scratch and applied four times, which costs fewer operations than
     squaring it twice at every n <= 5. The iterates live in the
     (n, m, s) layout of ``_power_phase``, so A y y and N(x) are one
-    matrix product per tensor; every x starts at e_1. A start is
+    matrix product per tensor. Only y is carried: each sweep writes
+    x = A y y / |A y y| into the pair-product scratch, free once A y y
+    is formed, and takes x = e_1 where A y y vanishes. A start is
     converged when its objective y N(x) y at the new y stalls within
     `tol`.
     """
     k, (s, n) = a.shape[0], pool.shape
+    e1 = np.eye(n)[:, :1]
 
-    def step(amats, f, active, _fresh, Y, X, pp, nb, prod):
+    def step(amats, f, active, Y, pp, nb, prod):
         m = Y.shape[1]
-        v = prod[:n]
+        v, x = prod[:n], pp[:n]
         np.multiply(Y[:, None], Y, out=pp.reshape(n, n, m, s))
         np.matmul(amats, pp.transpose(1, 0, 2), out=v.transpose(1, 0, 2))
         vn = _norms(v)
-        np.divide(v, vn, out=X, where=active & (vn > 1e-150))
-        np.matmul(amats.transpose(0, 2, 1), X.transpose(1, 0, 2), out=nb.transpose(1, 0, 2))
+        ok = vn > 1e-150
+        np.divide(v, vn, out=x, where=ok)
+        if not ok.all():
+            x[:, ~ok] = e1
+        np.matmul(amats.transpose(0, 2, 1), x.transpose(1, 0, 2), out=nb.transpose(1, 0, 2))
         # B = N + ||N||_F I goes to the free pair-product scratch; N stays
         # in nb for the objective
         np.copyto(pp, nb)
@@ -589,7 +585,7 @@ def _alternating_phase(a, pool, tol, max_iters):
         active ^= newly
         return newly
 
-    return _queue(a.reshape(k, n, n * n), pool, max_iters, step, [pool.T, np.eye(n)[:, :1]])
+    return _queue(a.reshape(k, n, n * n), pool, max_iters, step)
 
 
 def _c_state(a, y):

@@ -55,9 +55,12 @@ def test_interval_accessors():
 
 
 def test_interval_rejects_reversed_endpoints():
-    with pytest.raises(PropertyViolation):
-        Interval(1.0, 0.5)
-    Interval(1.0, 1.0 - 1e-13)  # inside the numerical band
+    # any reversal raises, however small against the endpoints: the
+    # library never builds a reversed interval, so there is no band
+    for lo, hi in [(1.0, 0.5), (1.0, 1.0 - 1e-13), (1e-6 + 5e-13, 1e-6), (1e6 * (1 + 4e-16), 1e6)]:
+        with pytest.raises(PropertyViolation):
+            Interval(lo, hi)
+    assert Interval(1e-6, 1e-6).lo == 1e-6
 
 
 # ---------------------------------------------------------------------------
