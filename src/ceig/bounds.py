@@ -14,6 +14,8 @@ perturbed tensor:
 The quadratic interval nests inside the additive one, which nests inside
 the spectral one; ``check_nesting`` verifies that chain on a report.
 The numeric suffixes match the column labels used in emitted tables.
+A report takes four Z-solves; ``full_reports`` adds lambda(A + E) as a
+fifth and batches many pairs. Only this module knows that layout.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
+    CeigError,
     DimensionMismatch,
     NegativeInput,
     PropertyViolation,
@@ -132,44 +135,69 @@ class BoundReport:
         object.__setattr__(self, "interval_25", bound_quadratic(a, self.zmin_diff, self.zmax_diff))
 
 
-def report_problems(lifted_a, lifted_e, lifted_sum):
-    """The four Z-problems of one report, in the order ``assemble_report``
-    takes their solutions: lift(A), lift(E), then the negated and plain
-    companion difference lift(A+E) - lift(A)."""
+def _plan(A, E, lift_of):
+    """The Z-problems lift(A), lift(E), -D, D and lift(A+E) of the pair,
+    D = lift(A+E) - lift(A), and the function that reads the BoundReport
+    off the first four results, or (BoundReport, CEigenpair of A + E)
+    off all five. Held solver failures and the checks of
+    ``c_pair_from_lift`` raise in the order a sequential solve meets
+    them: lambda(A), lambda(E), D's extremes, the report, lambda(A+E)."""
+    if A.n != E.n:
+        raise DimensionMismatch(f"dimension mismatch: A has n={A.n}, E has n={E.n}")
+    a_tilde = A + E
+    lifted_a, lifted_e, lifted_sum = lift_of(A), lift_of(E), lift_of(a_tilde)
     diff = lifted_sum - lifted_a
-    return [lifted_a, lifted_e, -diff, diff]
+
+    def read(z_a, z_e, z_neg_diff, z_diff, z_sum=None):
+        report = BoundReport(
+            c_pair_from_lift(A, z_a).value,
+            c_pair_from_lift(E, z_e).value,
+            unfold_spectral_norm(E),
+            -held(z_neg_diff).value,  # min(T) = -max(-T)
+            held(z_diff).value,
+        )
+        return report if z_sum is None else (report, c_pair_from_lift(a_tilde, z_sum))
+
+    return [lifted_a, lifted_e, -diff, diff, lifted_sum], read
 
 
-def assemble_report(A, E, solved):
-    """BoundReport of the five scalars read off the ``z_max_batch``
-    entries of ``report_problems``; the report builds the intervals.
-
-    lambda(A) and lambda(E) come from ``c_pair_from_lift``, so each is
-    checked against its tensor's largest entry. Held solver failures and
-    those checks raise in the order a sequential solve would meet them:
-    lambda(A), lambda(E), then the difference extremes, and the report's
-    own checks last.
-    """
-    z_a, z_e, z_neg_diff, z_diff = solved
-    lambda_a = c_pair_from_lift(A, z_a).value
-    lambda_e = c_pair_from_lift(E, z_e).value
-    norm_e2 = unfold_spectral_norm(E)
-    zmin_diff = -held(z_neg_diff).value  # min(T) = -max(-T)
-    zmax_diff = held(z_diff).value
-    return BoundReport(lambda_a, lambda_e, norm_e2, zmin_diff, zmax_diff)
+def _attempt(f, *args):
+    """f(*args), or the ``CeigError`` it raised."""
+    try:
+        return f(*args)
+    except CeigError as exc:
+        return exc
 
 
 def full_report(A, E, cfg=SolverConfig()):
-    """Assemble the three intervals for the perturbation A -> A + E.
+    """The three intervals for the perturbation A -> A + E, from
+    lambda_Cmax of A and of E, the unfolding norm of E and the Z-extremes
+    of the companion difference lift(A+E) - lift(A); the four Z-problems
+    run as one batch."""
+    problems, read = _plan(A, E, lift)
+    return read(*z_max_batch(problems[:4], cfg))
 
-    Solves for lambda_Cmax of A and of E, the unfolding norm of E, and
-    the Z-extremes of the companion difference lift(A+E) - lift(A); the
-    four Z-problems run as one batch.
-    """
-    if A.n != E.n:
-        raise DimensionMismatch(f"dimension mismatch: A has n={A.n}, E has n={E.n}")
-    problems = report_problems(lift(A), lift(E), lift(A + E))
-    return assemble_report(A, E, z_max_batch(problems, cfg))
+
+def full_reports(pairs, cfg=SolverConfig()):
+    """One entry per (A, E) of `pairs`: (``full_report``, CEigenpair of
+    A + E), or the ``CeigError`` the pair raised (a dimension mismatch,
+    a lift that overflows, no convergence, a violated property), held so
+    callers can attribute it. Each distinct tensor is lifted once and
+    every pair's five Z-problems go to one ``z_max_batch`` call: each
+    result is bit-identical to solving its pair alone."""
+    lifted = {}
+
+    def lift_once(t):
+        key = t.entries.tobytes()
+        if key not in lifted:
+            lifted[key] = lift(t)
+        return lifted[key]
+
+    plans = [_attempt(_plan, A, E, lift_once) for A, E in pairs]
+    problems = [p for plan in plans if not isinstance(plan, CeigError) for p in plan[0]]
+    solved = zip(*[iter(z_max_batch(problems, cfg))] * 5)  # five per planned pair
+    return [plan if isinstance(plan, CeigError) else _attempt(plan[1], *next(solved))
+            for plan in plans]
 
 
 def check_nesting(r, slack=SLACK):

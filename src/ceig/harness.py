@@ -9,8 +9,9 @@ before anything is emitted.
 
 Sub-seeds are derived by mixing (seed, material index, epsilon index,
 trial), so cells are independent: results do not depend on appending
-further materials or epsilons. A study lifts and solves each distinct
-tensor once, in batched passes over all of its cells.
+further materials or epsilons. A study hands all its (A, E) pairs to one
+``bounds.full_reports`` call, which lifts and solves each distinct
+tensor once: this module knows the protocol, not a report's Z-problems.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import SLACK, assemble_report, check_nesting, report_problems
-from .errors import CeigError, PropertyViolation, ValidationError
+from .bounds import SLACK, check_nesting, full_reports
+from .errors import CeigError, ParseError, PropertyViolation, ValidationError
 from .rng import SplitMix64, derive_seed
-from .spectral import SolverConfig, c_pair_from_lift, z_max_batch
-from .tensors import PiezoTensor, lift, make_piezo, parse_tensor_text
+from .spectral import SolverConfig
+from .tensors import PiezoTensor, make_piezo, parse_tensor_text
 
 DEFAULT_EPSILONS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -79,9 +80,13 @@ class ResultRow:
 
 
 def load_material(path):
-    """Parse one tensor text file; the name falls back to the file stem."""
+    """Parse one UTF-8 tensor text file; the name falls back to the stem."""
     path = Path(path)
-    tensor, name = parse_tensor_text(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), exc.object.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
+    tensor, name = parse_tensor_text(text, str(path))
     return MaterialRecord(name=name or path.stem, tensor=tensor)
 
 
@@ -117,7 +122,12 @@ def _cell_perturbation(material, m_idx, epsilon, e_idx, trial, cfg):
     return gen_perturbation(material.tensor.n, epsilon, stream, signed=cfg.signed)
 
 
-def _result_row(material, epsilon, trial, report, true_lambda, where):
+def _result_row(material, epsilon, trial, entry):
+    where = f"material {material.name!r}, epsilon {epsilon:g}, trial {trial}"
+    if isinstance(entry, CeigError):
+        raise _in_cell(where, entry)
+    report, true_pair = entry
+    true_lambda = true_pair.value
     intervals = report.interval_21, report.interval_24, report.interval_25
     contained = all(iv.contains(true_lambda, SLACK) for iv in intervals)
     nested = check_nesting(report)
@@ -140,16 +150,11 @@ def _in_cell(where, exc):
 def run_experiment(materials, cfg=ExperimentConfig()):
     """All (material, epsilon, trial) cells, epsilon descending per material.
 
-    The study is planned before anything is solved: every cell's
-    perturbation is drawn, each distinct tensor is lifted once, and the
-    Z-problems of all cells (four per report plus lift(A+E) for the true
-    value) go to one ``z_max_batch`` call, which solves each distinct
-    one once. Reports are then assembled in cell order, so the first
-    failing cell raises, prefixed with its coordinates, as if the cells
-    had run one by one.
-
-    Raises PropertyViolation if any cell's true value escapes an interval
-    or the nesting chain breaks; rows are only returned for clean runs.
+    Every cell's perturbation is drawn (up to one that overflows), then
+    one ``full_reports`` call solves all cells. The first failing cell
+    raises, prefixed with its coordinates, as if cells ran one by one:
+    PropertyViolation if its true value escapes an interval or the
+    nesting chain breaks. Rows are only returned for clean runs.
     """
     if not materials:
         raise ValidationError("no materials given")
@@ -163,39 +168,15 @@ def run_experiment(materials, cfg=ExperimentConfig()):
         for e_idx, eps in enumerate(eps_sorted)
         for trial in range(cfg.trials)
     ]
-    lifted = {}
-
-    def lift_once(t):
-        key = t.entries.tobytes()
-        if key not in lifted:
-            lifted[key] = lift(t)
-        return lifted[key]
-
-    plan, problems, failure = [], [], None
+    pairs, undrawn = [], []
     for mat, m_idx, eps, e_idx, trial in cells:
-        where = f"material {mat.name!r}, epsilon {eps:g}, trial {trial}"
         try:
-            e = _cell_perturbation(mat, m_idx, eps, e_idx, trial, cfg)
-            a_tilde = mat.tensor + e
-            lifts = lift_once(mat.tensor), lift_once(e), lift_once(a_tilde)
-            problems += report_problems(*lifts) + [lifts[2]]
-        except CeigError as exc:
-            failure = where, exc  # raised once the cells before it are assembled
+            pairs.append((mat.tensor, _cell_perturbation(mat, m_idx, eps, e_idx, trial, cfg)))
+        except CeigError as exc:  # a draw that overflows fails after the cells before it
+            undrawn = [exc]
             break
-        plan.append((mat, eps, trial, where, e, a_tilde))
-    solved = z_max_batch(problems, cfg.solver)
-    rows = []
-    for i, (mat, eps, trial, where, e, a_tilde) in enumerate(plan):
-        z = solved[5 * i:5 * i + 5]
-        try:
-            report = assemble_report(mat.tensor, e, z[:4])
-            true_lambda = c_pair_from_lift(a_tilde, z[4]).value
-        except CeigError as exc:
-            raise _in_cell(where, exc)
-        rows.append(_result_row(mat, eps, trial, report, true_lambda, where))
-    if failure:
-        raise _in_cell(*failure)
-    return rows
+    entries = zip(cells, full_reports(pairs, cfg.solver) + undrawn)
+    return [_result_row(mat, eps, trial, entry) for (mat, _, eps, _, trial), entry in entries]
 
 
 _COLUMNS = tuple(f.name for f in fields(ResultRow))

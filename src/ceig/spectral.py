@@ -478,15 +478,6 @@ def z_max(T, cfg=SolverConfig()):
     return held(z_max_batch([T], cfg)[0])
 
 
-def z_min(T, cfg=SolverConfig()):
-    """Smallest Z-eigenvalue, via the negation identity min(T) = -max(-T).
-
-    The residual carries over: ||(-T) y^3 + lambda y|| = ||T y^3 - lambda y||.
-    """
-    neg = z_max(-T, cfg)
-    return ZEigenpair(-neg.value, neg.y, neg.residual, neg.iterations)
-
-
 def _c_residuals(a, ayy, value, x, y):
     """||A y y - value x|| and ||x A y - value y|| for entries `a`, given
     ayy = A y y."""

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from ceig import (
+    CeigError,
     ExperimentConfig,
     SolverConfig,
     c_max_alternating,
     c_max_via_lift,
     check_nesting,
-    full_report,
+    full_reports,
     gen_perturbation,
     grid_oracle_c,
     lift,
@@ -27,11 +28,11 @@ from ceig import (
     make_piezo,
     run_experiment,
     unfold_spectral_norm,
-    z_max,
-    z_min,
+    z_max_batch,
 )
 from ceig.cli import main as cli_main
 from ceig.rng import SplitMix64, derive_seed
+from ceig.spectral import c_pair_from_lift, held
 
 from conftest import quartic_loops, rand_piezo, rand_unit
 
@@ -69,33 +70,41 @@ def announce(capsys, text):
 
 @pytest.fixture(scope="module")
 def pair_batch():
-    """1000 seeded (A, E) pairs cycling eps in {1, 1e-1, 1e-3}."""
+    """1000 seeded (A, E) pairs cycling eps in {1, 1e-1, 1e-3}: each
+    report and lambda(A + E), from one ``full_reports`` call. The time
+    covers the draws and the call."""
     eps_cycle = (1.0, 1e-1, 1e-3)
-    out = []
     t0 = time.perf_counter()
-    for i in range(1000):
-        a = rand_piezo(derive_seed(101, i))
-        e = gen_perturbation(3, eps_cycle[i % 3], SplitMix64(derive_seed(202, i)))
-        report = full_report(a, e, CFG)
-        lam_tilde = c_max_via_lift(a + e, CFG).value
-        out.append((report, lam_tilde))
+    pairs = [
+        (rand_piezo(derive_seed(101, i)),
+         gen_perturbation(3, eps_cycle[i % 3], SplitMix64(derive_seed(202, i))))
+        for i in range(1000)
+    ]
+    out = []
+    for entry in full_reports(pairs, CFG):
+        if isinstance(entry, CeigError):
+            raise entry
+        report, tilde = entry
+        out.append((report, tilde.value))
     return out, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def solver_batch():
-    """500 random A with every solver quantity the checks below need."""
+    """500 random A with every solver quantity the checks below need; the
+    Z-problems lift(A) and -lift(A) of all 500 run as one batch."""
+    tensors = [rand_piezo(derive_seed(303, i)) for i in range(500)]
+    companions = [lift(a) for a in tensors]
+    tops = z_max_batch(companions + [-c for c in companions], CFG)
     out = []
-    for i in range(500):
-        a = rand_piezo(derive_seed(303, i))
-        companion = lift(a)
+    for a, companion, top, neg in zip(tensors, companions, tops[:500], tops[500:]):
         out.append(
             {
                 "a": a,
                 "companion": companion,
-                "zmin": z_min(companion, CFG).value,
-                "zmax": z_max(companion, CFG).value,
-                "via_lift": c_max_via_lift(a, CFG),
+                "zmin": -held(neg).value,  # min(T) = -max(-T)
+                "zmax": held(top).value,
+                "via_lift": c_pair_from_lift(a, top),
                 "alternating": c_max_alternating(a, CFG),
             }
         )

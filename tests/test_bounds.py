@@ -4,9 +4,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceig import (
     BoundReport,
+    CeigError,
     DimensionMismatch,
     Interval,
     NegativeInput,
@@ -17,16 +20,17 @@ from ceig import (
     bound_additive,
     bound_quadratic,
     bound_spectral,
+    c_max_alternating,
     c_max_via_lift,
     check_nesting,
     full_report,
+    full_reports,
     gen_perturbation,
     lift,
     make_piezo,
     parse_tensor_text,
     unfold_spectral_norm,
     z_max,
-    z_min,
 )
 from ceig.rng import SplitMix64
 
@@ -104,7 +108,7 @@ def test_bound_quadratic_zero_base_tensor():
     # A = 0: the interval's upper end is exactly the C-eigenvalue of E
     e = seeded_perturbation(5, 0.7)
     s_e = lift(e)
-    zmin = z_min(s_e, CFG).value
+    zmin = -z_max(-s_e, CFG).value
     zmax = z_max(s_e, CFG).value
     lam_e = c_max_via_lift(e, CFG).value
     iv = bound_quadratic(0.0, zmin, zmax)
@@ -242,6 +246,37 @@ def test_full_report_of_cancelling_perturbation_at_large_scale(seed, scale):
     r = full_report(a, -a)
     assert r.interval_25.lo == 0.0
     assert r.interval_21.contains(0.0)
+
+
+@given(
+    st.integers(1, 5),
+    st.sampled_from([1e-6, 1.0, 1e3]),
+    st.sampled_from([1.0, 1e-3, 1e-6]),
+    st.integers(0, 2 ** 32),
+)
+@settings(max_examples=60)
+def test_aligned_perturbation_attains_every_upper_end(n, scale, ratio, seed):
+    # E = e x_A (y_A y_A^T) from A's top C-pair gives lambda(A + E) =
+    # lambda_A + e, lambda_E = ||E||_2 = e and zmax_diff = 2 e lambda_A + e^2,
+    # so all three upper ends are attained; zmax_diff carries the
+    # cancellation of lift(A + E) - lift(A)
+    a = rand_piezo(seed, n=n, scale=scale)
+    top = c_max_via_lift(a, CFG)
+    e = ratio * top.value
+    raw = (e * top.x)[:, None, None] * np.outer(top.y, top.y)[None]  # symmetric in (j, k)
+    aligned = make_piezo(n, raw, mode="strict")
+    [entry] = full_reports([(a, aligned)], CFG)
+    if isinstance(entry, CeigError):
+        raise entry
+    report, tilde = entry
+    want = top.value + e
+    attained = [tilde.value, c_max_alternating(a + aligned, CFG).value,
+                report.interval_21.hi, report.interval_24.hi, report.interval_25.hi]
+    assert all(abs(v - want) <= 1e-14 * want for v in attained), attained
+    assert abs(report.lambda_e - e) <= 1e-14 * e
+    assert abs(report.norm_e2 - e) <= 1e-14 * e
+    zmax = 2.0 * e * top.value + e * e
+    assert abs(report.zmax_diff - zmax) <= 1e-9 * zmax
 
 
 # ---------------------------------------------------------------------------

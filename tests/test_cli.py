@@ -58,6 +58,17 @@ def test_compute_malformed_file(tmp_path, capsys):
     assert "bad.txt:2" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    d = tmp_path / "mats"
+    d.mkdir()
+    p = d / "latin.txt"
+    p.write_bytes(b"\xff\xfe\x00n 3")
+    assert main(["compute", str(p)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(experiment_args(d, tmp_path / "x.csv")) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_compute_unallocatable_dimension(tmp_path, capsys):
     # n^3 float entries for n = 100000 are 8e15 bytes: numpy raises
     # MemoryError at once, before any of it is touched

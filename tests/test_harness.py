@@ -10,12 +10,14 @@ from ceig import (
     ExperimentConfig,
     MaterialRecord,
     NoConvergence,
+    NonFinite,
     ParseError,
     SolverConfig,
     ValidationError,
     c_max_via_lift,
     emit_csv,
     emit_markdown,
+    full_report,
     gen_perturbation,
     load_material,
     load_materials,
@@ -23,6 +25,7 @@ from ceig import (
     run_experiment,
     unfold_spectral_norm,
 )
+from ceig import bounds
 from ceig.rng import SplitMix64, derive_seed
 
 from conftest import rand_piezo
@@ -233,6 +236,63 @@ def test_failing_cell_keeps_the_error_detail():
     assert best is not None
     assert str(info.value).startswith("material 'rough', epsilon 0, trial 0: ")
     assert f"{best:.3e}" in str(info.value)
+
+
+NO_CONV = SolverConfig(starts=4, tol=1e-15, max_iters=10)
+
+
+def test_unplannable_cell_raises_in_cell_order():
+    # lift(A) of a 1e160 entry overflows; the error waits for the cells
+    # before it, and the earlier of two failing cells wins
+    clean, huge = single_material(2.0, name="clean"), single_material(1e160, name="huge")
+    rough = MaterialRecord("rough", rand_piezo(9))
+    eps = (1e-1, 0.0)
+    with pytest.raises(NonFinite, match=r"^material 'huge', epsilon 0\.1, trial 0: "):
+        run_experiment([clean, huge], ExperimentConfig(epsilons=eps, solver=QUICK))
+    with pytest.raises(NoConvergence, match=r"^material 'rough', "):
+        run_experiment([rough, huge], ExperimentConfig(epsilons=eps, solver=NO_CONV))
+    with pytest.raises(NonFinite, match=r"^material 'huge', epsilon 0\.1, trial 0: "):
+        run_experiment([huge, rough], ExperimentConfig(epsilons=eps, solver=NO_CONV))
+    # a perturbation whose symmetrisation overflows is attributed too
+    with np.errstate(over="ignore"), pytest.raises(
+        NonFinite, match=r"^material 'clean', epsilon 1\.7e\+308, trial 0: "
+    ):
+        run_experiment([clean], ExperimentConfig(epsilons=(1.7e308,), solver=QUICK))
+
+
+def test_reports_run_as_one_batch_of_the_report_layout(materials_dir, monkeypatch):
+    batches, lifted = [], []
+    real_batch, real_lift = bounds.z_max_batch, bounds.lift
+
+    def recording_batch(tensors, cfg):
+        batches.append(list(tensors))
+        return real_batch(tensors, cfg)
+
+    def recording_lift(t):
+        lifted.append(t)
+        return real_lift(t)
+
+    monkeypatch.setattr(bounds, "z_max_batch", recording_batch)
+    monkeypatch.setattr(bounds, "lift", recording_lift)
+    full_report(rand_piezo(1), gen_perturbation(3, 1e-2, SplitMix64(2)), QUICK)
+    assert [len(b) for b in batches] == [4]
+
+    batches.clear()
+    lifted.clear()
+    mats = load_materials(materials_dir)
+    cfg = ExperimentConfig()
+    run_experiment(mats, cfg)
+    # lift(A), lift(E), -D, D and lift(A + E) per cell, D = lift(A + E) - lift(A)
+    want = []
+    for m_idx, mat in enumerate(mats):
+        for e_idx, eps in enumerate(cfg.epsilons):
+            e = gen_perturbation(3, eps, SplitMix64(derive_seed(cfg.seed, m_idx, e_idx, 0)))
+            lift_a, lift_sum = real_lift(mat.tensor), real_lift(mat.tensor + e)
+            diff = lift_sum - lift_a
+            want += [lift_a, real_lift(e), -diff, diff, lift_sum]
+    assert len(batches) == 1 and len(batches[0]) == len(want) == 240
+    assert all(np.array_equal(got.entries, w.entries) for got, w in zip(batches[0], want))
+    assert len(lifted) == 91  # each distinct tensor once
 
 
 def test_full_materials_run_all_rows_clean(materials_dir):

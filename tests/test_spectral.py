@@ -28,7 +28,6 @@ from ceig import (
     parse_tensor_text,
     z_max,
     z_max_batch,
-    z_min,
 )
 from ceig import spectral
 from ceig.harness import gen_perturbation, load_material
@@ -61,10 +60,6 @@ def rand_sym4(seed, n=3):
     return SymTensor4(n, out)
 
 
-def neg4(t):
-    return SymTensor4(t.n, np.zeros_like(t.entries)) - t
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -86,7 +81,7 @@ def test_solver_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# z_max / z_min
+# z_max (the smallest Z-eigenvalue of T is -z_max(-T))
 
 
 def test_z_max_single_entry_lift():
@@ -109,28 +104,19 @@ def test_z_max_matches_grid_oracle():
         t = rand_sym4(s)
         lo, hi = grid_oracle_z(t, 400)
         assert z_max(t, CFG).value == pytest.approx(hi, abs=5e-3)
-        assert z_min(t, CFG).value == pytest.approx(lo, abs=5e-3)
-
-
-def test_z_min_is_negated_z_max():
-    t = rand_sym4(42)
-    a = z_min(t, CFG).value
-    b = -z_max(neg4(t), CFG).value
-    assert a == pytest.approx(b, abs=1e-9)
+        assert -z_max(-t, CFG).value == pytest.approx(lo, abs=5e-3)
 
 
 def test_z_min_psd_floor_on_lifts():
     for s in range(30):
         a = rand_piezo(500 + s)
-        pair = z_min(lift(a), CFG)
-        assert pair.value >= -1e-8
-        # the residual invariant is against the original tensor, and the
-        # reported residual is that one
-        res = np.linalg.norm(
-            cubic_loops(lift(a).entries, pair.y) - pair.value * pair.y
-        )
-        assert res <= 1e-8 * max(1.0, abs(pair.value))
-        assert abs(pair.residual - res) <= 1e-12 * max(1.0, abs(pair.value))
+        neg = z_max(-lift(a), CFG)
+        value = -neg.value  # min(T) = -max(-T)
+        assert value >= -1e-8
+        # the residual carries over to T: |(-T) y^3 + value y| = |T y^3 - value y|
+        res = np.linalg.norm(cubic_loops(lift(a).entries, neg.y) - value * neg.y)
+        assert res <= 1e-8 * max(1.0, abs(value))
+        assert abs(neg.residual - res) <= 1e-12 * max(1.0, abs(value))
 
 
 def test_z_pair_satisfies_eigen_equation():
@@ -777,7 +763,7 @@ def test_capped_configs_fail_or_find_the_global_value():
     # full run finds: unconverged starts above the converged top are
     # polished instead of passed over
     capped = [NO_CONV, SolverConfig(starts=2, tol=1e-14, max_iters=40)]
-    routes = [c_max_via_lift, c_max_alternating, lambda a, cfg: z_min(lift(a), cfg)]
+    routes = [c_max_via_lift, c_max_alternating, lambda a, cfg: z_max(-lift(a), cfg)]
     for a in capped_case_tensors():
         for route in routes:
             want = route(a, CFG).value
