@@ -9,7 +9,7 @@ perturbed tensor:
   n x n^2 slice unfolding of E, which dominates lambda_Cmax(E);
 * ``interval_25`` (quadratic shift): square roots of lambda_a^2 shifted
   by the extreme Z-values of the difference of the fourth-order
-  companions of A-tilde and A.
+  companions of A-tilde and A, formed directly as companion(2A + E, E).
 
 The quadratic interval nests inside the additive one, which nests inside
 the spectral one; ``check_nesting`` verifies that chain on a report.
@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .spectral import SolverConfig, c_pair_from_lift, held, z_max_batch
-from .tensors import lift, unfold_spectral_norm
+from .tensors import companion, lift, unfold_spectral_norm
 
 _NEG_BAND = 1e-8  # relative band inside which a negative radicand is clamped
 SLACK = 1e-8  # absolute slack of the containment and nesting checks
@@ -135,30 +135,34 @@ class BoundReport:
         object.__setattr__(self, "interval_25", bound_quadratic(a, self.zmin_diff, self.zmax_diff))
 
 
-def _plan(A, E, lift_of):
-    """The Z-problems lift(A), lift(E), -D, D and lift(A+E) of the pair,
-    D = lift(A+E) - lift(A), and the function that reads the BoundReport
-    off the first four results, or (BoundReport, CEigenpair of A + E)
-    off all five. Held solver failures and the checks of
-    ``c_pair_from_lift`` raise in the order a sequential solve meets
-    them: lambda(A), lambda(E), D's extremes, the report, lambda(A+E)."""
+def _plan(A, E):
+    """The Z-problems lift(A), lift(E), -D and D of the pair's report,
+    D = companion(2A + E, E) = lift(A + E) - lift(A), and the function
+    that reads the BoundReport off their results. Held solver failures
+    and the checks of ``c_pair_from_lift`` raise in the order a
+    sequential solve meets them: lambda(A), lambda(E), D's extremes."""
     if A.n != E.n:
         raise DimensionMismatch(f"dimension mismatch: A has n={A.n}, E has n={E.n}")
-    a_tilde = A + E
-    lifted_a, lifted_e, lifted_sum = lift_of(A), lift_of(E), lift_of(a_tilde)
-    diff = lifted_sum - lifted_a
+    diff = companion(2.0 * A + E, E)
 
-    def read(z_a, z_e, z_neg_diff, z_diff, z_sum=None):
-        report = BoundReport(
+    def read(z_a, z_e, z_neg_diff, z_diff):
+        return BoundReport(
             c_pair_from_lift(A, z_a).value,
             c_pair_from_lift(E, z_e).value,
             unfold_spectral_norm(E),
             -held(z_neg_diff).value,  # min(T) = -max(-T)
             held(z_diff).value,
         )
-        return report if z_sum is None else (report, c_pair_from_lift(a_tilde, z_sum))
 
-    return [lifted_a, lifted_e, -diff, diff, lifted_sum], read
+    return [lift(A), lift(E), -diff, diff], read
+
+
+def _plan_with_truth(A, E):
+    """``_plan`` and lift(A + E); the reader returns (BoundReport,
+    CEigenpair of A + E), lambda(A + E) raising after the report."""
+    problems, read = _plan(A, E)
+    a_tilde = A + E
+    return problems + [lift(a_tilde)], lambda *z: (read(*z[:4]), c_pair_from_lift(a_tilde, z[4]))
 
 
 def _attempt(f, *args):
@@ -174,26 +178,18 @@ def full_report(A, E, cfg=SolverConfig()):
     lambda_Cmax of A and of E, the unfolding norm of E and the Z-extremes
     of the companion difference lift(A+E) - lift(A); the four Z-problems
     run as one batch."""
-    problems, read = _plan(A, E, lift)
-    return read(*z_max_batch(problems[:4], cfg))
+    problems, read = _plan(A, E)
+    return read(*z_max_batch(problems, cfg))
 
 
 def full_reports(pairs, cfg=SolverConfig()):
     """One entry per (A, E) of `pairs`: (``full_report``, CEigenpair of
     A + E), or the ``CeigError`` the pair raised (a dimension mismatch,
     a lift that overflows, no convergence, a violated property), held so
-    callers can attribute it. Each distinct tensor is lifted once and
-    every pair's five Z-problems go to one ``z_max_batch`` call: each
-    result is bit-identical to solving its pair alone."""
-    lifted = {}
-
-    def lift_once(t):
-        key = t.entries.tobytes()
-        if key not in lifted:
-            lifted[key] = lift(t)
-        return lifted[key]
-
-    plans = [_attempt(_plan, A, E, lift_once) for A, E in pairs]
+    callers can attribute it. Every pair's five Z-problems go to one
+    ``z_max_batch`` call: each result is bit-identical to solving its
+    pair alone."""
+    plans = [_attempt(_plan_with_truth, A, E) for A, E in pairs]
     problems = [p for plan in plans if not isinstance(plan, CeigError) for p in plan[0]]
     solved = zip(*[iter(z_max_batch(problems, cfg))] * 5)  # five per planned pair
     return [plan if isinstance(plan, CeigError) else _attempt(plan[1], *next(solved))

@@ -10,8 +10,8 @@ before anything is emitted.
 Sub-seeds are derived by mixing (seed, material index, epsilon index,
 trial), so cells are independent: results do not depend on appending
 further materials or epsilons. A study hands all its (A, E) pairs to one
-``bounds.full_reports`` call, which lifts and solves each distinct
-tensor once: this module knows the protocol, not a report's Z-problems.
+``bounds.full_reports`` call, which solves each distinct Z-problem once:
+this module knows the protocol, not a report's Z-problems.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class ResultRow:
 
 
 def load_material(path):
-    """Parse one UTF-8 tensor text file; the name falls back to the stem."""
+    """Parse one UTF-8 tensor text file, BOM or not; the name falls back to the stem."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(str(path), exc.object.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
     tensor, name = parse_tensor_text(text, str(path))

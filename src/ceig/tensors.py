@@ -3,9 +3,10 @@ the slice-unfolding norm and the text format.
 
 A piezoelectric-type tensor is an order-3 real tensor A = (a_ijk) that is
 symmetric in its last two indices. The symmetric fourth-order companion
-of A is built by summing products of horizontal slices and then fully
-symmetrising; its quartic form on the unit sphere encodes the squared
-largest coupling constant of A (see :mod:`ceig.spectral`).
+of two such tensors sums products of their horizontal slices and then
+fully symmetrises; the quartic form of lift(A), A's companion with
+itself, encodes the squared largest coupling constant of A on the unit
+sphere (see :mod:`ceig.spectral`).
 
 Dense row-major storage throughout: dimensions in every intended use are
 tiny (n <= 5), so n^3 / n^4 arrays beat any folded scheme.
@@ -120,15 +121,6 @@ class SymTensor4:
             )
         object.__setattr__(self, "entries", _freeze(arr))
 
-    def __sub__(self, other):
-        if not isinstance(other, SymTensor4):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
-        # Entry-wise difference of two exactly symmetric arrays stays
-        # exactly symmetric, so the constructor check passes.
-        return SymTensor4(self.n, self.entries - other.entries)
-
     def __neg__(self):
         return SymTensor4(self.n, -self.entries)
 
@@ -161,22 +153,30 @@ def make_piezo(n, raw, mode="strict"):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def lift(A):
-    """Symmetric fourth-order companion of a piezoelectric-type tensor.
+def companion(A, B):
+    """Symmetric fourth-order companion Sym(sum_i a_iab b_icd) of two
+    piezoelectric-type tensors; companion(2A + E, E) is lift(A + E) -
+    lift(A) without the cancellation of subtracting them.
 
-    First forms the partially symmetric product tensor
-    b_{abcd} = sum_i a_iab a_icd, then averages the three pairings
-    (ab|cd), (ac|bd), (ad|bc) and canonicalises entries over sorted index
-    tuples so the full 24-permutation symmetry holds bit-exactly.
+    The product b is averaged with its (ab|cd) swap, halved first so that
+    companion(A, A) keeps every bit of b and its overflow threshold, then
+    over the pairings (ab|cd), (ac|bd), (ad|bc); gathering each entry from
+    its index-sorted representative turns ulp-level reordering noise into
+    exact 24-permutation symmetry.
     """
-    a = A.entries
-    b = np.einsum("iab,icd->abcd", a, a)
+    if A.n != B.n:
+        raise DimensionMismatch(f"dimension mismatch: {A.n} vs {B.n}")
+    b = np.einsum("iab,icd->abcd", A.entries, B.entries)
+    b = 0.5 * b + 0.5 * b.transpose(2, 3, 0, 1)
     # transpose axes are the inverse permutations of the index maps
     # (a,b,c,d)->(a,c,b,d) and (a,b,c,d)->(a,d,b,c)
     bbar = (b + b.transpose(0, 2, 1, 3) + b.transpose(0, 2, 3, 1)) / 3.0
-    # Gather every entry from its index-sorted representative; this turns
-    # ulp-level reordering noise into exact permutation invariance.
     return SymTensor4(A.n, bbar.ravel()[_sorted_index(A.n)].reshape(bbar.shape))
+
+
+def lift(A):
+    """Symmetric fourth-order companion of A with itself, companion(A, A)."""
+    return companion(A, A)
 
 
 def unfold_gram(E):

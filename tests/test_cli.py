@@ -1,5 +1,6 @@
 """Exit codes and output shapes of the command-line interface."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import ceig
-from ceig import PropertyViolation, make_piezo
+from ceig import PropertyViolation, SolverConfig, c_max_via_lift, make_piezo
 from ceig.cli import main
 
 from conftest import format_tensor_text, rand_piezo
@@ -67,6 +68,21 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(experiment_args(d, tmp_path / "x.csv")) == 2
     assert "error:" in capsys.readouterr().err
+    # after a byte-order mark, a bad byte is still reported on its own line
+    p.write_bytes(b"\xef\xbb\xbfn 1\n\xff 1 1 1 5.0\n")
+    assert main(["compute", str(p)]) == 2
+    assert "latin.txt:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_file_with_byte_order_mark_loads(tmp_path, capsys):
+    d = tmp_path / "mats"
+    d.mkdir()
+    p = d / "bom.txt"
+    p.write_bytes(b"\xef\xbb\xbfn 1\n1 1 1 5.0\n")
+    assert main(["compute", str(p)]) == 0
+    assert "lambda_c  5.000000000000" in capsys.readouterr().out
+    assert main(experiment_args(d, tmp_path / "x.csv")) == 0
+    assert "2 rows over 1 materials" in capsys.readouterr().out
 
 
 def test_compute_unallocatable_dimension(tmp_path, capsys):
@@ -103,6 +119,27 @@ def test_bounds_degenerate(single_entry_file, tmp_path, capsys):
     assert "interval_21 [2.00000000, 2.00000000]" in out
     assert "interval_25 [2.00000000, 2.00000000]" in out
     assert "nested     true" in out
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1e-6])
+def test_bounds_of_aligned_perturbation_prints_the_exact_answer(tmp_path, capsys, ratio):
+    # E = e x_A (y_A y_A^T) from A's top C-pair attains every upper end:
+    # lambda(A + E) = lambda_A + e and zmax_diff = 2 e lambda_A + e^2
+    a = rand_piezo(9)
+    top = c_max_via_lift(a, SolverConfig(starts=8))  # what FAST selects
+    e = ratio * top.value
+    raw = (e * top.x)[:, None, None] * np.outer(top.y, top.y)[None]  # symmetric in (j, k)
+    a_file, e_file = tmp_path / "a.txt", tmp_path / "e.txt"
+    a_file.write_text(format_tensor_text(a, strict=True))
+    e_file.write_text(format_tensor_text(make_piezo(3, raw, mode="strict"), strict=True))
+    assert main(["bounds", str(a_file), str(e_file)] + FAST) == 0
+    printed = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    zmax = 2.0 * e * top.value + e * e
+    # 1e-13 of zmax, plus the half unit in the last of the 13 printed digits
+    half_unit = 0.5e-12 * 10.0 ** math.floor(math.log10(zmax))
+    assert abs(float(printed["zmax_diff"]) - zmax) <= 1e-13 * zmax + half_unit
+    for name in ("interval_21", "interval_24", "interval_25"):
+        assert printed[name].endswith(f", {top.value + e:.8f}]"), (name, printed[name])
 
 
 def test_bounds_dimension_mismatch(single_entry_file, tmp_path, capsys):

@@ -15,10 +15,12 @@ from ceig import (
     SolverConfig,
     ValidationError,
     c_max_via_lift,
+    companion,
     emit_csv,
     emit_markdown,
     full_report,
     gen_perturbation,
+    lift,
     load_material,
     load_materials,
     make_piezo,
@@ -261,38 +263,37 @@ def test_unplannable_cell_raises_in_cell_order():
 
 
 def test_reports_run_as_one_batch_of_the_report_layout(materials_dir, monkeypatch):
-    batches, lifted = [], []
-    real_batch, real_lift = bounds.z_max_batch, bounds.lift
+    batches = []
+    real_batch = bounds.z_max_batch
 
     def recording_batch(tensors, cfg):
         batches.append(list(tensors))
         return real_batch(tensors, cfg)
 
-    def recording_lift(t):
-        lifted.append(t)
-        return real_lift(t)
+    def same(got, want):
+        return len(got) == len(want) and all(
+            np.array_equal(g.entries, w.entries) for g, w in zip(got, want))
 
     monkeypatch.setattr(bounds, "z_max_batch", recording_batch)
-    monkeypatch.setattr(bounds, "lift", recording_lift)
-    full_report(rand_piezo(1), gen_perturbation(3, 1e-2, SplitMix64(2)), QUICK)
-    assert [len(b) for b in batches] == [4]
+    a, e = rand_piezo(1), gen_perturbation(3, 1e-2, SplitMix64(2))
+    full_report(a, e, QUICK)
+    # lift(A), lift(E), -D and D with D = companion(2A + E, E); no lift(A + E)
+    diff = companion(2 * a + e, e)
+    assert len(batches) == 1 and same(batches[0], [lift(a), lift(e), -diff, diff])
 
     batches.clear()
-    lifted.clear()
     mats = load_materials(materials_dir)
     cfg = ExperimentConfig()
     run_experiment(mats, cfg)
-    # lift(A), lift(E), -D, D and lift(A + E) per cell, D = lift(A + E) - lift(A)
+    # the same four per cell, then lift(A + E) for the true lambda
     want = []
     for m_idx, mat in enumerate(mats):
         for e_idx, eps in enumerate(cfg.epsilons):
+            a = mat.tensor
             e = gen_perturbation(3, eps, SplitMix64(derive_seed(cfg.seed, m_idx, e_idx, 0)))
-            lift_a, lift_sum = real_lift(mat.tensor), real_lift(mat.tensor + e)
-            diff = lift_sum - lift_a
-            want += [lift_a, real_lift(e), -diff, diff, lift_sum]
-    assert len(batches) == 1 and len(batches[0]) == len(want) == 240
-    assert all(np.array_equal(got.entries, w.entries) for got, w in zip(batches[0], want))
-    assert len(lifted) == 91  # each distinct tensor once
+            diff = companion(2 * a + e, e)
+            want += [lift(a), lift(e), -diff, diff, lift(a + e)]
+    assert len(batches) == 1 and len(want) == 240 and same(batches[0], want)
 
 
 def test_full_materials_run_all_rows_clean(materials_dir):

@@ -20,6 +20,7 @@ from ceig import (
     ZEigenpair,
     c_max_alternating,
     c_max_via_lift,
+    companion,
     full_report,
     grid_oracle_c,
     grid_oracle_z,
@@ -374,7 +375,7 @@ def mixed_batch(materials_dir):
     but for one n = 2 and one n = 5 tensor."""
     a = load_material(materials_dir / "08_banio3.txt").tensor
     e = gen_perturbation(3, 1e-5, SplitMix64(11))
-    diff = lift(a + e) - lift(a)
+    diff = companion(2 * a + e, e)
     r = rand_piezo(77)
     return [
         lift(load_material(materials_dir / "01_vfesb.txt").tensor),

@@ -16,6 +16,7 @@ from ceig import (
     PiezoTensor,
     SymTensor4,
     SymmetryViolation,
+    companion,
     lift,
     make_piezo,
     parse_tensor_text,
@@ -282,27 +283,45 @@ def test_cubic_quartic_consistency():
 
 
 # ---------------------------------------------------------------------------
-# difference
+# companion of two tensors
 
 
-def test_sub_trivial():
-    t = lift(rand_piezo(16, n=2))
-    zero = SymTensor4(2, np.zeros((2, 2, 2, 2)))
-    np.testing.assert_array_equal((t - t).entries, zero.entries)
-    np.testing.assert_array_equal((t - zero).entries, t.entries)
+def test_companion_rejects_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        t - lift(rand_piezo(17, n=3))
+        companion(rand_piezo(16, n=2), rand_piezo(17, n=3))
 
 
-def test_sub_single_entry_hand_expansion():
+def test_companion_single_entry_hand_expansion():
     # (c + e)^2 - c^2 = 2 c e + e^2 at the 1111 slot, nothing else
     c, e = 2.0, 0.1
     a = single_entry(2, 0, 0, 0, c)
     e_t = single_entry(2, 0, 0, 0, e)
-    diff = lift(a + e_t) - lift(a)
+    diff = companion(2 * a + e_t, e_t)
     expected = np.zeros((2, 2, 2, 2))
     expected[0, 0, 0, 0] = 2.0 * c * e + e * e
     np.testing.assert_allclose(diff.entries, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_companion_is_symmetric_in_its_arguments(n):
+    for s in range(5):
+        a, b = rand_piezo(400 + 10 * n + s, n=n), rand_piezo(500 + 10 * n + s, n=n)
+        np.testing.assert_array_equal(companion(a, b).entries, companion(b, a).entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+def test_companion_of_2a_plus_e_and_e_is_the_lift_difference(n, eps):
+    # lift(A + E) - lift(A) = Sym((2A + E) E): the two agree up to the
+    # rounding of the subtraction, a few ulps of its larger operand
+    for s in range(10):
+        a = rand_piezo(600 + 10 * n + s, n=n)
+        e = eps * rand_piezo(700 + 10 * n + s, n=n)
+        lifted_sum, lifted_a = lift(a + e).entries, lift(a).entries
+        ulp = np.spacing(max(np.abs(lifted_sum).max(), np.abs(lifted_a).max()))
+        np.testing.assert_allclose(
+            companion(2 * a + e, e).entries, lifted_sum - lifted_a, rtol=0, atol=8 * ulp
+        )
 
 
 # ---------------------------------------------------------------------------
